@@ -31,6 +31,7 @@ from .oracle import (
 from .roots import cluster, find_roots
 from .slocc import degeneracy_class, slocc_summary
 from .states import (
+    MAX_QUBITS,
     RiemannPoint,
     SymmetricState,
     from_dicke,
@@ -95,6 +96,13 @@ def _parse_complex(entry, what: str) -> complex:
     raise _CliError(EXIT_PARSE, f"{what} entries must be [re, im] pairs of finite numbers")
 
 
+def _check_qubits(n: int) -> None:
+    if n > MAX_QUBITS:
+        raise _CliError(
+            EXIT_UNSUPPORTED, f"n = {n} exceeds the largest supported qubit count {MAX_QUBITS}"
+        )
+
+
 def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None, str]:
     """Parse a state file into (state, file points or None, basis).
 
@@ -116,6 +124,7 @@ def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None,
         basis = doc["basis"]
     except (KeyError, TypeError, ValueError):
         raise _CliError(EXIT_PARSE, "state file needs integer 'n' and string 'basis'")
+    _check_qubits(n)
     if basis == "dicke":
         raw = doc.get("amplitudes")
         if not isinstance(raw, list) or len(raw) != n + 1:
@@ -317,6 +326,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.family != "ghz4-family":
+        _check_qubits(args.n)
     try:
         if args.family == "ghz":
             state = families.ghz_state(args.n)

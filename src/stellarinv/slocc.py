@@ -7,10 +7,11 @@ keeps arguments at infinity exact rather than approximated by large floats.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
-from math import factorial
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DegenerateInputError, DivergentSumError
 from .roots import DEFAULT_CLUSTER_TOL, cluster
@@ -23,6 +24,9 @@ COINCIDENCE_TOL = 1e-12
 #: Any transformed cross ratio beyond this magnitude marks a divergent
 #: permutation sum.
 DIVERGENCE_THRESHOLD = 1e12
+
+#: Most ordered 4-tuples :func:`symmetrized_ik` evaluates at once.
+_TUPLE_CHUNK = 1 << 16
 
 
 def as_point(value) -> RiemannPoint:
@@ -158,8 +162,14 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
     triple contains coincident roots are skipped and counted.  Since the
     term depends only on the leading four slots, the sum runs over ordered
     4-tuples weighted by (n-4)!, which is exactly the full permutation sum.
-    Compensated summation keeps the result independent of enumeration order
-    to ~1e-15 relative.
+
+    Every term is read off one matrix of projective differences
+    det[x, y] = a_x b_y - a_y b_x.  The tuples are evaluated in chunks of
+    at most 2**16, so memory stays bounded at any n, and the real and
+    imaginary parts of each chunk are summed exactly with ``math.fsum``.
+    Up to n = 16 all tuples form one chunk, so the sum is exactly rounded
+    and does not depend on the order of the roots; beyond that each chunk
+    adds one rounding.
     """
     if k < 1:
         raise ValueError("power k must be a positive integer")
@@ -167,38 +177,45 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
     n = len(pts)
     if n < 4:
         raise ValueError("need at least four roots")
-    pairs = [(p.a, p.b) for p in pts]
-    same = [
-        [_coincident(pts[i], pts[j]) for j in range(n)] for i in range(n)
-    ]
-    if sum(1 for i in range(n) if not any(same[i][j] for j in range(i))) < 3:
+    a = np.array([p.a for p in pts])
+    b = np.array([p.b for p in pts])
+    det = np.multiply.outer(a, b) - np.multiply.outer(b, a)
+    norm2 = abs(a) ** 2 + abs(b) ** 2
+    # chordal_distance of every pair; the diagonal is exactly 0, so a
+    # triple of distinct roots also has distinct indices, and root i is the
+    # first of its kind when its row's first coincidence is i itself
+    same = 2.0 * abs(det) / np.sqrt(np.multiply.outer(norm2, norm2)) < COINCIDENCE_TOL
+    if np.count_nonzero(same.argmax(axis=1) == np.arange(n)) < 3:
         raise ValueError("fewer than three distinct roots: no valid ordering")
 
-    weight = factorial(n - 4)
-    total = factorial(n)
-    skipped = 0
-    acc = 0.0 + 0.0j
-    comp = 0.0 + 0.0j  # Kahan compensation
-    for i1, i2, i3, i4 in itertools.permutations(range(n), 4):
-        if same[i1][i2] or same[i1][i3] or same[i2][i3]:
-            skipped += weight
-            continue
-        a1, b1 = pairs[i1]
-        a2, b2 = pairs[i2]
-        a3, b3 = pairs[i3]
-        a4, b4 = pairs[i4]
-        num = (a4 * b1 - a1 * b4) * (a2 * b3 - a3 * b2)
-        den = (a4 * b3 - a3 * b4) * (a2 * b1 - a1 * b2)
-        if abs(den) * DIVERGENCE_THRESHOLD <= abs(num):
+    # leading triples (i1, i2, i3) in chunks, each against every i4
+    i4 = np.arange(n)[:, None]
+    triples = n**3
+    step = max(1, _TUPLE_CHUNK // n)
+    kept = 0
+    re_parts: list[float] = []
+    im_parts: list[float] = []
+    for start in range(0, triples, step):
+        i1, i2, i3 = np.unravel_index(
+            np.arange(start, min(start + step, triples)), (n, n, n)
+        )
+        lead = ~(same[i1, i2] | same[i1, i3] | same[i2, i3])
+        i1, i2, i3 = i1[lead], i2[lead], i3[lead]
+        other = (i4 != i1) & (i4 != i2) & (i4 != i3)
+        num = (det[:, i1] * det[i2, i3])[other]
+        den = (det[:, i3] * det[i2, i1])[other]
+        if np.any(abs(den) * DIVERGENCE_THRESHOLD <= abs(num)):
             raise DivergentSumError(
                 "transformed cross ratio exceeds the divergence threshold"
             )
-        term = (num / den) ** k
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return PowerSumResult(acc * weight, skipped, total)
+        terms = (num / den) ** k
+        kept += terms.size
+        re_parts.append(math.fsum(terms.real.tolist()))
+        im_parts.append(math.fsum(terms.imag.tolist()))
+    weight = math.factorial(n - 4)
+    total = math.factorial(n)
+    value = complex(math.fsum(re_parts), math.fsum(im_parts)) * weight
+    return PowerSumResult(value, total - kept * weight, total)
 
 
 def degeneracy_class(

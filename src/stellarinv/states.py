@@ -12,7 +12,7 @@ Everything here is immutable after construction and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,10 @@ LEADING_COEFF_TOL = 1e-12
 INFINITY_TOL = 1e-12
 
 _NORM_TOL = 1e-12
+
+#: Largest qubit count whose binomials binom(n, k) all fit a float; the
+#: polynomial coefficients of larger states cannot be formed.
+MAX_QUBITS = 1029
 
 
 class RiemannPoint:
@@ -135,39 +139,13 @@ def chordal_distance(p: RiemannPoint, q: RiemannPoint) -> float:
     return 2.0 * abs(cross) / np.sqrt(np2 * nq2)
 
 
-def multiset_distance(
-    ps: Sequence[RiemannPoint], qs: Sequence[RiemannPoint]
-) -> float:
-    """Greedy nearest-matching distance between two point multisets.
-
-    Repeatedly pairs the globally closest remaining points and returns the
-    largest chordal distance among the chosen pairs.  Adequate for the
-    separations used in tests; not certified for near-degenerate multisets.
-    """
-    if len(ps) != len(qs):
-        raise ValueError("multisets must have equal size")
-    left = list(ps)
-    right = list(qs)
-    worst = 0.0
-    while left:
-        best = None
-        for i, p in enumerate(left):
-            for j, q in enumerate(right):
-                d = chordal_distance(p, q)
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        worst = max(worst, best[0])
-        left.pop(best[1])
-        right.pop(best[2])
-    return worst
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricState:
     """Symmetric n-qubit state given by n+1 Dicke amplitudes, m ascending.
 
-    Amplitudes are normalized to unit Euclidean norm at construction and the
-    backing array is frozen.
+    Amplitudes must be finite.  They are normalized to unit Euclidean norm
+    at construction, after dividing by the largest real or imaginary part
+    when the plain norm overflows, and the backing array is frozen.
     """
 
     n: int
@@ -181,7 +159,14 @@ class SymmetricState:
             raise ValueError(
                 f"expected {self.n + 1} amplitudes for n={self.n}, got shape {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        if not isfinite(norm):
+            if not np.isfinite(amps).all():
+                raise ValueError("amplitudes must be finite")
+            # the squares overflow: bring the largest component to 1 first
+            amps = amps / max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+            norm = np.linalg.norm(amps)
         if norm < _NORM_TOL:
             raise ValueError("amplitude vector is zero")
         amps = amps / norm

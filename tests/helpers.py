@@ -3,11 +3,11 @@ import numpy as np
 
 from stellarinv import (
     RiemannPoint,
+    chordal_distance,
     find_roots,
     from_dicke,
     from_sphere,
     majorana_polynomial,
-    multiset_distance,
     SphereVector,
 )
 
@@ -56,6 +56,31 @@ def random_disk(rng):
 
 def roots_of(state):
     return find_roots(majorana_polynomial(state))
+
+
+def multiset_distance(ps, qs):
+    """Greedy nearest-matching distance between two point multisets.
+
+    Repeatedly pairs the globally closest remaining points and returns the
+    largest chordal distance among the chosen pairs.  Adequate for the
+    separations used in tests; not certified for near-degenerate multisets.
+    """
+    if len(ps) != len(qs):
+        raise ValueError("multisets must have equal size")
+    left = list(ps)
+    right = list(qs)
+    worst = 0.0
+    while left:
+        best = None
+        for i, p in enumerate(left):
+            for j, q in enumerate(right):
+                d = chordal_distance(p, q)
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        worst = max(worst, best[0])
+        left.pop(best[1])
+        right.pop(best[2])
+    return worst
 
 
 def assert_multisets_close(ps, qs, tol):

@@ -10,6 +10,7 @@ import numpy as np
 from helpers import (
     assert_multisets_close,
     inf_point,
+    multiset_distance,
     point,
     random_h,
     random_points,
@@ -41,7 +42,6 @@ from stellarinv import (
     lu_invariants3,
     lu_unitary,
     mobius_from_ilo,
-    multiset_distance,
     oracle_lu_invariants3,
     partial_trace,
     rotation_from_h,

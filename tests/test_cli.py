@@ -148,6 +148,17 @@ class TestInvariants:
         assert out == ""
         assert "finite numbers" in err
 
+    def test_huge_amplitudes_match_unit_amplitudes(self, capsys, tmp_path):
+        # the plain norm overflows; the state is the same as for unit amplitudes
+        outs = []
+        for scale in (1e308, 1):
+            amps = [[scale, 0], [scale, 0], [0, 0]]
+            path = write_state(tmp_path, "s.json", {"n": 2, "basis": "dicke", "amplitudes": amps})
+            code, out, _ = run(capsys, "invariants", path)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_oracle_check_unsupported_n(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "ghz4-family", "-o", str(tmp_path / "g4.json"))
         code, _, err = run(
@@ -300,6 +311,18 @@ class TestRoots:
         roots = json.loads(out)["roots"]
         assert len(roots) == 68
         np.testing.assert_allclose(np.hypot(*np.array(roots).T), 1.0, atol=1e-9)
+
+    def test_qubit_ceiling_exits_3(self, capsys, tmp_path):
+        # binom(1030, 515) does not fit a float
+        assert run(capsys, "generate", "ghz", "-n", "1029", "-o", str(tmp_path / "g.json"))[0] == 0
+        code, out, err = run(capsys, "generate", "ghz", "-n", "1030")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "1029" in err
+        amps = [[1, 0]] + [[0, 0]] * 1029 + [[1, 0]]
+        path = write_state(tmp_path, "big.json", {"n": 1030, "basis": "dicke", "amplitudes": amps})
+        code, out, err = run(capsys, "roots", path)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "1029" in err
 
     def test_round_trip_majorana_file(self, capsys, tmp_path):
         path = write_state(

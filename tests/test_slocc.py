@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import inf_point, point, random_points
+from helpers import inf_point, multiset_distance, point, random_points
 from stellarinv import (
     DegenerateInputError,
     DivergentSumError,
@@ -20,7 +20,6 @@ from stellarinv import (
     i2_closed_n4,
     klein_j,
     lambda_vector,
-    multiset_distance,
     symmetrized_ik,
 )
 from stellarinv.states import majorana_polynomial
@@ -264,6 +263,31 @@ class TestSymmetrizedIk:
         want = brute_force_power_sum(vals, 2)
         assert res.total == 720
         assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_one_root_at_infinity_against_brute_force(self):
+        rng = np.random.default_rng(52)
+        for n in (4, 5, 6, 7):
+            pts = random_points(rng, n - 1, min_sep=0.2) + [inf_point()]
+            vals = [p.value for p in pts[:-1]] + [None]
+            for k in (1, 2, 3, 4):
+                res = symmetrized_ik(pts, k)
+                want = brute_force_power_sum(vals, k)
+                assert abs(res.value - want) <= 1e-12 * abs(want)
+
+    def test_root_order_leaves_value_bit_identical(self):
+        # up to n = 16 every tuple is summed exactly in one fsum
+        rng = np.random.default_rng(53)
+        for n in (8, 16):
+            pts = random_points(rng, n, min_sep=0.2)
+            shuffled = [pts[i] for i in rng.permutation(n)]
+            for k in (2, 4):
+                assert symmetrized_ik(shuffled, k).value == symmetrized_ik(pts, k).value
+
+    def test_linear_sum_over_several_chunks(self):
+        rng = np.random.default_rng(54)
+        res = symmetrized_ik(random_points(rng, 20, min_sep=0.1), 1)
+        want = res.total / 2.0
+        assert abs(res.value - want) <= 1e-13 * want
 
     def test_linear_sum_is_constant(self):
         # the six orbit images of any cross ratio sum to 3, so the k=1

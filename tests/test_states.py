@@ -40,6 +40,15 @@ class TestFromDicke:
         with pytest.raises(ValueError):
             from_dicke(2, [0, 0, 0])
 
+    def test_overflowing_norm_is_rescaled(self):
+        st = from_dicke(2, [1e308, 1e308j, 0])
+        np.testing.assert_array_equal(st.amplitudes, from_dicke(2, [1, 1j, 0]).amplitudes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            from_dicke(2, [1, bad, 0])
+
     def test_amplitudes_read_only(self):
         st3 = from_dicke(3, [1, 0, 0, 1])
         with pytest.raises(ValueError):
