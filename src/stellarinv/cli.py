@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from .oracle import (
     partial_trace,
     wootters_concurrence,
 )
-from .roots import cluster, find_roots
+from .roots import cluster, find_roots, point_key
 from .slocc import degeneracy_class, slocc_summary
 from .states import (
     MAX_QUBITS,
@@ -138,12 +139,10 @@ def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None,
         raw = doc.get("points")
         if not isinstance(raw, list) or len(raw) != n:
             raise _CliError(EXIT_PARSE, f"'points' must list {n} entries")
-        pts = []
-        for entry in raw:
-            if entry == "inf":
-                pts.append(RiemannPoint.infinity())
-            else:
-                pts.append(RiemannPoint(_parse_complex(entry, "point")))
+        pts = [
+            RiemannPoint.infinity() if e == "inf" else RiemannPoint(_parse_complex(e, "point"))
+            for e in raw
+        ]
         try:
             return state_from_roots(pts), pts, basis
         except ValueError as exc:
@@ -153,22 +152,13 @@ def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None,
 
 def state_document(state: SymmetricState, basis: str) -> dict:
     if basis == "majorana":
-        pts = _sorted_points(find_roots(majorana_polynomial(state)))
+        pts = sorted(find_roots(majorana_polynomial(state)), key=point_key)
         return {"n": state.n, "basis": "majorana", "points": [_point_json(p) for p in pts]}
     return {
         "n": state.n,
         "basis": "dicke",
         "amplitudes": [_num(a) for a in state.amplitudes],
     }
-
-
-def _sorted_points(pts):
-    def key(p):
-        if p.is_infinite:
-            return (1, 0.0, 0.0)
-        return (0, p.value.real, p.value.imag)
-
-    return sorted(pts, key=key)
 
 
 def _emit(doc, out_path: str | None) -> None:
@@ -192,10 +182,7 @@ def _lu_section(state, g):
         section["concurrence"] = _sig15(concurrence2(v12))
         section["bloch_radius_sq"] = _sig15(bloch_radius2(v12))
     elif n == 3:
-        inv = lu_invariants3(g)
-        section.update(
-            {name: _sig15(val) for name, val in zip(("i1", "i2", "i3", "i4", "i5", "i6"), inv)}
-        )
+        section.update({k: _sig15(v) for k, v in lu_invariants3(g)._asdict().items()})
     return section
 
 
@@ -234,11 +221,8 @@ def _oracle_section(state, g):
         }
     if n == 3:
         inv = oracle_lu_invariants3(dense)
-        stellar = lu_invariants3(g)
-        dev = max(abs(a - b) for a, b in zip(inv, stellar))
-        section = {
-            name: _sig15(val) for name, val in zip(("i1", "i2", "i3", "i4", "i5", "i6"), inv)
-        }
+        dev = max(abs(a - b) for a, b in zip(inv, lu_invariants3(g)))
+        section = {k: _sig15(v) for k, v in inv._asdict().items()}
         section["max_abs_deviation"] = _sig15(dev)
         return section
     raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {n}")
@@ -246,32 +230,27 @@ def _oracle_section(state, g):
 
 def cmd_invariants(args) -> int:
     state, file_points, _ = load_document(args.file)
-    tol = args.tol
-    try:
-        pts = file_points or find_roots(majorana_polynomial(state))
-        vecs = [to_sphere(p) for p in pts]
-        g = gram(vecs)
-        report = {
-            "n": state.n,
-            "roots": [_point_json(p) for p in _sorted_points(pts)],
-            "points": [[_sig15(c) for c in (v.x, v.y, v.z)] for v in vecs],
-            "gram": [[_sig15(c) for c in row] for row in g],
-        }
-        want_lu = args.lu or not (args.lu or args.slocc)
-        want_slocc = args.slocc or not (args.lu or args.slocc)
-        if want_lu:
-            report["lu"] = _lu_section(state, g)
-        if want_slocc:
-            summary = slocc_summary(pts, tol)
-            if args.slocc and state.n == 4 and summary.klein_j is None:
-                raise DegenerateInputError(
-                    "repeated roots put the cross ratio on the degenerate orbit {0, 1, inf}"
-                )
-            report["slocc"] = _slocc_section(summary)
-        if args.oracle_check:
-            report["oracle"] = _oracle_section(state, g)
-    except DegenerateInputError as exc:
-        raise _CliError(EXIT_DEGENERATE, str(exc))
+    pts = file_points or find_roots(majorana_polynomial(state))
+    vecs = [to_sphere(p) for p in pts]
+    g = gram(vecs)
+    report = {
+        "n": state.n,
+        "roots": [_point_json(p) for p in sorted(pts, key=point_key)],
+        "points": [[_sig15(c) for c in (v.x, v.y, v.z)] for v in vecs],
+        "gram": [[_sig15(c) for c in row] for row in g],
+    }
+    both = not (args.lu or args.slocc)
+    if args.lu or both:
+        report["lu"] = _lu_section(state, g)
+    if args.slocc or both:
+        summary = slocc_summary(pts, args.tol)
+        if args.slocc and state.n == 4 and summary.klein_j is None:
+            raise DegenerateInputError(
+                "repeated roots put the cross ratio on the degenerate orbit {0, 1, inf}"
+            )
+        report["slocc"] = _slocc_section(summary)
+    if args.oracle_check:
+        report["oracle"] = _oracle_section(state, g)
     _emit(report, args.output)
     return EXIT_OK
 
@@ -306,17 +285,15 @@ def cmd_transform(args) -> int:
                 if abs(z) <= 1.0:
                     return z
 
-        params = None
         for _ in range(_ILO_RETRIES):
             try:
-                cand = IloParameters(disk(), disk(), disk())
+                params = IloParameters(disk(), disk(), disk())
             except DegenerateInputError:
                 continue
-            g = cand.gamma
+            g = params.gamma
             if abs(g - 1.0 / g) < 10.0:
-                params = cand
                 break
-        if params is None:
+        else:
             raise _CliError(EXIT_DEGENERATE, "no in-domain ILO parameters found")
         out = apply_operator(ilo_operator(params, state.n), state)
     else:
@@ -338,10 +315,9 @@ def cmd_generate(args) -> int:
                 raise _CliError(EXIT_PARSE, "dicke needs --weight")
             state = families.dicke_state(args.n, args.weight)
         else:  # ghz4-family
-            mu = complex(args.mu[0], args.mu[1]) if args.mu else 0j
-            state = families.ghz4_family(mu)
-    except DegenerateInputError as exc:
-        raise _CliError(EXIT_DEGENERATE, str(exc))
+            state = families.ghz4_family(complex(*args.mu) if args.mu else 0j)
+    except DegenerateInputError:
+        raise  # a ValueError too; main maps it to exit 4
     except ValueError as exc:
         raise _CliError(EXIT_PARSE, str(exc))
     _emit(state_document(state, "dicke"), args.output)
@@ -354,14 +330,12 @@ def cmd_roots(args) -> int:
     clusters = cluster(pts, args.tol)
     report = {
         "n": state.n,
-        "roots": [_point_json(p) for p in _sorted_points(pts)],
-        "points": [
-            [_sig15(c) for c in (v.x, v.y, v.z)] for v in (to_sphere(p) for p in pts)
-        ],
+        "roots": [_point_json(p) for p in sorted(pts, key=point_key)],
+        "points": [[_sig15(c) for c in (v.x, v.y, v.z)] for v in map(to_sphere, pts)],
         "clusters": [
             {"root": _point_json(rep), "multiplicity": mult} for rep, mult in clusters
         ],
-        "degeneracy": sorted((m for _, m in clusters), reverse=True),
+        "degeneracy": [m for _, m in clusters],
     }
     _emit(report, args.output)
     return EXIT_OK
@@ -371,25 +345,39 @@ def cmd_roots(args) -> int:
 # Argument parsing
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stellarinv",
         description="Entanglement invariants of symmetric multiqubit states "
         "via their stellar representation.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--tol",
-        type=float,
+        type=_positive_float,
         default=1e-7,
         help="clustering/classification tolerance (default 1e-7)",
     )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", parents=[common], help="compute invariants of a state file")
+    p = sub.add_parser(
+        "invariants", parents=[tol, output], help="compute invariants of a state file"
+    )
     p.add_argument("file")
     p.add_argument("--lu", action="store_true", help="report only the LU section")
     p.add_argument("--slocc", action="store_true", help="report only the SLOCC section")
@@ -400,25 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("classify", parents=[common], help="degeneracy class of a state file")
+    p = sub.add_parser("classify", parents=[tol], help="degeneracy class of a state file")
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("transform", parents=[common], help="apply an operator to a state file")
+    p = sub.add_parser(
+        "transform", parents=[seed, output], help="apply an operator to a state file"
+    )
     p.add_argument("file")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--lu-random", dest="mode", action="store_const", const="lu-random"
-    )
-    mode.add_argument(
-        "--ilo-random", dest="mode", action="store_const", const="ilo-random"
-    )
-    mode.add_argument(
-        "--time-reversal", dest="mode", action="store_const", const="time-reversal"
-    )
+    for flag in ("--lu-random", "--ilo-random", "--time-reversal"):
+        mode.add_argument(flag, dest="mode", action="store_const", const=flag[2:])
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("generate", parents=[common], help="write a named family state file")
+    p = sub.add_parser("generate", parents=[output], help="write a named family state file")
     p.add_argument("family", choices=["ghz", "w", "dicke", "ghz4-family"])
     p.add_argument("-n", type=int, default=3, help="qubit count (ghz/w/dicke)")
     p.add_argument("--weight", type=int, default=None, help="excitation count for dicke")
@@ -432,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("roots", parents=[common], help="roots and clusters of a state file")
+    p = sub.add_parser("roots", parents=[tol, output], help="roots and clusters of a state file")
     p.add_argument("file")
     p.set_defaults(func=cmd_roots)
 
@@ -447,10 +430,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DivergentSumError as exc:
+    except (DegenerateInputError, DivergentSumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

@@ -96,6 +96,14 @@ def find_roots(
     return points
 
 
+def point_key(p: RiemannPoint) -> tuple[int, float, float]:
+    """Sort key of the point order: finite points by (Re, Im), infinity last."""
+    if p.is_infinite:
+        return (1, 0.0, 0.0)
+    z = p.value
+    return (0, z.real, z.imag)
+
+
 def cluster(
     points: Sequence[RiemannPoint], tol: float = DEFAULT_CLUSTER_TOL
 ) -> list[tuple[RiemannPoint, int]]:
@@ -138,10 +146,5 @@ def cluster(
             rep = from_sphere(SphereVector.from_array(mean / norm))
         out.append((rep, len(members)))
 
-    def sort_key(item):
-        rep, mult = item
-        if rep.is_infinite:
-            return (-mult, 1, 0.0, 0.0)
-        return (-mult, 0, rep.value.real, rep.value.imag)
+    return sorted(out, key=lambda item: (-item[1], *point_key(item[0])))
 
-    return sorted(out, key=sort_key)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,13 +37,22 @@ def as_point(value) -> RiemannPoint:
     return RiemannPoint(complex(value))
 
 
-def _det(p: RiemannPoint, q: RiemannPoint) -> complex:
-    # projective difference p - q up to the product of denominators
-    return p.a * q.b - q.a * p.b
+def _pairs(points) -> np.ndarray:
+    """The (m, 2) array of projective pairs (a, b) of the points."""
+    return np.array([(p.a, p.b) for p in map(as_point, points)])
 
 
-def _coincident(p: RiemannPoint, q: RiemannPoint) -> bool:
-    return chordal_distance(p, q) < COINCIDENCE_TOL
+def _differences(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projective differences det[x, y] = a_x b_y - a_y b_x of every row
+    point x against every column point y, and the mask of the pairs whose
+    chordal distance 2|det| / sqrt((|a_x|^2 + |b_x|^2)(|a_y|^2 + |b_y|^2))
+    falls below :data:`COINCIDENCE_TOL`: the one rule for "the same root".
+    """
+    ra, rb = rows.T
+    ca, cb = cols.T
+    det = np.multiply.outer(ra, cb) - np.multiply.outer(rb, ca)
+    norms = np.multiply.outer(abs(ra) ** 2 + abs(rb) ** 2, abs(ca) ** 2 + abs(cb) ** 2)
+    return det, 2.0 * abs(det) / np.sqrt(norms) < COINCIDENCE_TOL
 
 
 def cross_ratio(pi, pj, pk, pl) -> RiemannPoint:
@@ -52,17 +62,11 @@ def cross_ratio(pi, pj, pk, pl) -> RiemannPoint:
     Defined whenever at least three of the four points are pairwise
     distinct; the dominant factors cancel exactly for arguments at infinity.
     """
-    pts = [as_point(p) for p in (pi, pj, pk, pl)]
-    distinct: list[RiemannPoint] = []
-    for p in pts:
-        if not any(_coincident(p, q) for q in distinct):
-            distinct.append(p)
-    if len(distinct) < 3:
+    pairs = _pairs((pi, pj, pk, pl))
+    det, same = _differences(pairs, pairs)
+    if all(same[i, j] or same[i, k] or same[j, k] for i, j, k in combinations(range(4), 3)):
         raise ValueError("cross ratio needs at least three distinct points")
-    a, b, c, d = pts
-    num = _det(a, c) * _det(b, d)
-    den = _det(b, c) * _det(a, d)
-    return RiemannPoint(num, den)
+    return RiemannPoint(det[0, 2] * det[1, 3], det[1, 2] * det[0, 3])
 
 
 def anharmonic_orbit(lam) -> list[RiemannPoint]:
@@ -139,10 +143,25 @@ def lambda_vector(
         pts = [pts[i] for i in ordering]
     if len(pts) < 4:
         raise ValueError("need at least four roots")
-    a1, a2, a3 = pts[0], pts[1], pts[2]
-    if _coincident(a1, a2) or _coincident(a1, a3) or _coincident(a2, a3):
+    lam = _leading_cross_ratios(pts)
+    if lam is None:
         raise ValueError("first three roots must be pairwise distinct")
-    return [cross_ratio(z, a2, a1, a3) for z in pts[3:]]
+    return lam
+
+
+def _leading_cross_ratios(pts: Sequence[RiemannPoint]) -> list[RiemannPoint] | None:
+    """cross_ratio(z, a2, a1, a3) for each root z after the leading triple
+    (a1, a2, a3), or None if that triple has a coincident pair.  O(n), with
+    the products of the symmetrized_ik terms and the mask entries it tests
+    for the ordering (a3, a2, a1), so a triple accepted here has terms there.
+    """
+    pairs = _pairs(pts)
+    det, same = _differences(pairs, pairs[:3])
+    if same[[1, 2, 2], [0, 0, 1]].any():
+        return None
+    num = det[3:, 0] * det[1, 2]
+    den = det[3:, 2] * det[1, 0]
+    return [RiemannPoint(x, y) for x, y in zip(num.tolist(), den.tolist())]
 
 
 class PowerSumResult(NamedTuple):
@@ -169,26 +188,19 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
     imaginary parts of each chunk are summed exactly with ``math.fsum``.
     Up to n = 16 all tuples form one chunk, so the sum is exactly rounded
     and does not depend on the order of the roots; beyond that each chunk
-    adds one rounding.
+    adds one rounding.  Raises ``ValueError`` when no ordering has a
+    pairwise-distinct leading triple, since the sum is then empty.
     """
     if k < 1:
         raise ValueError("power k must be a positive integer")
-    pts = [as_point(r) for r in roots]
-    n = len(pts)
+    pairs = _pairs(roots)
+    n = len(pairs)
     if n < 4:
         raise ValueError("need at least four roots")
-    a = np.array([p.a for p in pts])
-    b = np.array([p.b for p in pts])
-    det = np.multiply.outer(a, b) - np.multiply.outer(b, a)
-    norm2 = abs(a) ** 2 + abs(b) ** 2
-    # chordal_distance of every pair; the diagonal is exactly 0, so a
-    # triple of distinct roots also has distinct indices, and root i is the
-    # first of its kind when its row's first coincidence is i itself
-    same = 2.0 * abs(det) / np.sqrt(np.multiply.outer(norm2, norm2)) < COINCIDENCE_TOL
-    if np.count_nonzero(same.argmax(axis=1) == np.arange(n)) < 3:
-        raise ValueError("fewer than three distinct roots: no valid ordering")
+    det, same = _differences(pairs, pairs)
 
-    # leading triples (i1, i2, i3) in chunks, each against every i4
+    # leading triples (i1, i2, i3) in chunks, each against every i4; the
+    # mask holds on the diagonal, so a kept triple has distinct indices
     i4 = np.arange(n)[:, None]
     triples = n**3
     step = max(1, _TUPLE_CHUNK // n)
@@ -212,6 +224,8 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
         kept += terms.size
         re_parts.append(math.fsum(terms.real.tolist()))
         im_parts.append(math.fsum(terms.imag.tolist()))
+    if not kept:
+        raise ValueError("fewer than three distinct roots: no valid ordering")
     weight = math.factorial(n - 4)
     total = math.factorial(n)
     value = complex(math.fsum(re_parts), math.fsum(im_parts)) * weight
@@ -222,9 +236,7 @@ def degeneracy_class(
     roots: Sequence[RiemannPoint], tol: float = DEFAULT_CLUSTER_TOL
 ) -> tuple[int, ...]:
     """Descending root-multiplicity signature, the coarse SLOCC class."""
-    return tuple(
-        sorted((mult for _, mult in cluster(list(roots), tol)), reverse=True)
-    )
+    return tuple(mult for _, mult in cluster(list(roots), tol))
 
 
 def canonical_representative(lam) -> RiemannPoint:
@@ -278,12 +290,12 @@ def slocc_summary(
 
     lam_vec = None
     if n >= 4:
-        ordering = _distinct_first_ordering(pts)
-        if ordering is not None:
-            lam_vec = lambda_vector(pts, ordering)
+        triple = _leading_triple(pts)
+        if triple is not None:
+            rest = [p for i, p in enumerate(pts) if i not in triple]
+            lam_vec = _leading_cross_ratios([pts[i] for i in triple] + rest)
 
-    kj = None
-    canon = None
+    kj = canon = None
     if n == 4 and lam_vec is not None:
         lam = lam_vec[0]
         try:
@@ -293,8 +305,7 @@ def slocc_summary(
             pass
 
     sums: dict[int, complex] = {}
-    skipped = 0
-    divergent = False
+    skipped, divergent = 0, False
     if 4 <= n <= MAX_POWER_SUM_N and lam_vec is not None:
         for k in powers:
             try:
@@ -315,15 +326,17 @@ def slocc_summary(
     )
 
 
-def _distinct_first_ordering(pts: Sequence[RiemannPoint]) -> list[int] | None:
-    """Ordering that fronts three pairwise-distinct roots, if any exist."""
+def _leading_triple(pts: Sequence[RiemannPoint]) -> tuple[int, int, int] | None:
+    """Indices of the first three pairwise-distinct roots in a greedy scan.
+
+    Scalar, as it usually stops after three comparisons (a few microseconds
+    against tens for the array differences).  Its rounding can differ from
+    the array's near the threshold, so _leading_cross_ratios re-checks.
+    """
     chosen: list[int] = []
     for i, p in enumerate(pts):
-        if all(not _coincident(p, pts[j]) for j in chosen):
+        if all(chordal_distance(p, pts[j]) >= COINCIDENCE_TOL for j in chosen):
             chosen.append(i)
-        if len(chosen) == 3:
-            break
-    if len(chosen) < 3:
-        return None
-    rest = [i for i in range(len(pts)) if i not in chosen]
-    return chosen + rest
+            if len(chosen) == 3:
+                return tuple(chosen)
+    return None

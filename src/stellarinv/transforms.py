@@ -159,32 +159,34 @@ def _exp_traceless(g: np.ndarray) -> np.ndarray:
     return np.array([[ch + shc * a, shc * b], [shc * c, ch + shc * d]])
 
 
+def _qubit_unitary(h: Sequence[float]) -> np.ndarray:
+    """One-qubit unitary exp(i (hx sx + hy sy + hz sz)) in the Dicke basis."""
+    hx, hy, hz = (float(c) for c in h)
+    return _exp_traceless(1j * (hx * _QUBIT.sx + hy * _QUBIT.sy + hz * _QUBIT.sz))
+
+
 def lu_unitary(h: Sequence[float], n: int) -> np.ndarray:
     """Symmetric-sector local unitary exp(i (hx Sx + hy Sy + hz Sz)).
 
     The n-th symmetric power of the one-qubit unitary of the same h.
     """
-    hx, hy, hz = (float(c) for c in h)
-    return symmetric_power(
-        _exp_traceless(1j * (hx * _QUBIT.sx + hy * _QUBIT.sy + hz * _QUBIT.sz)), n
-    )
+    return symmetric_power(_qubit_unitary(h), n)
+
+
+#: Pauli matrices x, y, z, with m = +1/2 first.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def rotation_from_h(h: Sequence[float]) -> np.ndarray:
     """Rotation of the stellar points induced by lu_unitary(h).
 
-    Axis-angle rotation about (hx, hy, -hz)/|h| by the angle |h|; the
-    mirrored z-component is the sign convention under which the operator and
-    point pictures agree (checked by the correspondence tests).
+    X Z takes the Dicke-basis qubit (-alpha, 1) of a root to (1, alpha),
+    whose Bloch vector is the root's point, so the one-qubit unitary U of
+    lu_unitary turns the points by the adjoint action of
+    K = X Z U Z X = sigma_y U sigma_y: R_ij = Re Tr(sigma_i K sigma_j K^dagger) / 2.
     """
-    hx, hy, hz = (float(c) for c in h)
-    axis = np.array([hx, hy, -hz])
-    theta = np.linalg.norm(axis)
-    if theta < 1e-300:
-        return np.eye(3)
-    kx, ky, kz = axis / theta
-    cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + np.sin(theta) * cross + (1.0 - np.cos(theta)) * (cross @ cross)
+    k = _PAULI[1] @ _qubit_unitary(h) @ _PAULI[1]
+    return 0.5 * np.einsum("iab,bc,jcd,da->ij", _PAULI, k, _PAULI, k.conj().T).real
 
 
 @dataclass(frozen=True)

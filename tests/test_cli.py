@@ -59,6 +59,12 @@ class TestGenerate:
         assert code == 4
         assert "excluded" in err
 
+    def test_non_finite_mu_exits_2(self, capsys):
+        code, out, err = run(capsys, "generate", "ghz4-family", "--mu", "nan", "0")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_unknown_family_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "generate", "bell")
@@ -181,6 +187,45 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", path, "--slocc")
         assert code == 4
         assert "degenerate" in err
+
+    @pytest.mark.parametrize("extra", [[], [[-2, 1]]], ids=["n4", "n5"])
+    def test_near_coincident_chain_exits_0(self, capsys, tmp_path, extra):
+        # 0 ~ 4e-13 ~ 8e-13 pairwise below the 1e-12 coincidence threshold,
+        # but 0 and 8e-13 are distinct
+        points = [[0, 0], [4e-13, 0], [8e-13, 0], [1, 0]] + extra
+        doc = {"n": len(points), "basis": "majorana", "points": points}
+        path = write_state(tmp_path, "chain.json", doc)
+        for flags in ([], ["--slocc"]):
+            code, out, err = run(capsys, "invariants", path, *flags)
+            assert code == 0, err
+            assert "lambda_vector" in json.loads(out)["slocc"]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, capsys, tmp_path, tol):
+        path = ghz3_file(tmp_path)
+        for command in ("invariants", "classify", "roots"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, path, "--tol", tol])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--tol" in err
+            assert "Traceback" not in err
+
+    def test_classify_has_no_output_flag(self, capsys, tmp_path):
+        out = tmp_path / "cls.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", ghz3_file(tmp_path), "-o", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invariants_has_no_seed_flag(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", ghz3_file(tmp_path), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReferenceConfigurations:

@@ -20,12 +20,17 @@ from stellarinv import (
     i2_closed_n4,
     klein_j,
     lambda_vector,
+    slocc_summary,
     symmetrized_ik,
 )
 from stellarinv.states import majorana_polynomial
 from stellarinv.roots import find_roots
 
 OMEGA = np.exp(1j * np.pi / 3)  # equianharmonic cross ratio, root of l^2 - l + 1
+
+# chordal(0, 4e-13) and chordal(4e-13, 8e-13) fall below the 1e-12 coincidence
+# threshold, chordal(0, 8e-13) does not: {0, 8e-13, 1} is the one distinct triple
+CHAIN = [0.0, 4e-13, 8e-13, 1.0]
 
 
 def ghz4_roots():
@@ -95,6 +100,12 @@ class TestCrossRatio:
     def test_three_distinct_is_defined(self):
         got = cross_ratio(point(0), point(1), point(0), point(2))
         np.testing.assert_allclose(got.value, 0.0, atol=1e-15)
+
+    def test_near_coincident_chain_in_every_order(self):
+        # only the triple {0, 8e-13, 1} is distinct, whatever the argument order
+        for order in itertools.permutations(CHAIN):
+            got = cross_ratio(*(point(z) for z in order))
+            assert np.isfinite(abs(got.a)) and np.isfinite(abs(got.b))
 
 
 class TestAnharmonicOrbit:
@@ -228,6 +239,20 @@ class TestLambdaVector:
         got = lambda_vector(pts, ordering=[1, 2, 3, 0])
         assert abs(got[0].value - 3.0) <= 1e-14
 
+    def test_entries_are_cross_ratios(self):
+        rng = np.random.default_rng(61)
+        for n in range(4, 9):
+            for _ in range(5):
+                pts = random_points(rng, n - 1, min_sep=0.05) + [inf_point()]
+                pts = [pts[i] for i in rng.permutation(n)]
+                got = lambda_vector(pts)
+                for z, lam in zip(pts[3:], got):
+                    want = cross_ratio(z, pts[1], pts[0], pts[2])
+                    if want.is_infinite:
+                        assert lam.is_infinite
+                        continue
+                    assert abs(lam.value - want.value) <= 1e-14 * abs(want.value)
+
 
 class TestSymmetrizedIk:
     def test_ghz4_quadratic_sum(self):
@@ -307,6 +332,25 @@ class TestSymmetrizedIk:
     def test_too_few_distinct(self):
         with pytest.raises(ValueError):
             symmetrized_ik([point(0), point(0), point(1), point(1)], 2)
+
+    def test_triple_root_has_no_valid_ordering(self):
+        with pytest.raises(ValueError):
+            symmetrized_ik([point(0), point(0), point(0), point(1)], 2)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_near_coincident_chain(self, k):
+        # valid orderings exist although 0 and 8e-13 both coincide with 4e-13
+        try:
+            res = symmetrized_ik([point(z) for z in CHAIN], k)
+        except DivergentSumError:
+            return
+        assert np.isfinite(res.value)
+        assert 0 < res.skipped < res.total
+
+    def test_near_coincident_chain_summary(self):
+        summary = slocc_summary([point(z) for z in CHAIN])
+        assert summary.lambda_vector is not None
+        assert summary.symmetrized or summary.divergent
 
 
 class TestDegeneracyClass:
