@@ -123,7 +123,7 @@ def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None,
     try:
         n = int(doc["n"])
         basis = doc["basis"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: n = Infinity
         raise _CliError(EXIT_PARSE, "state file needs integer 'n' and string 'basis'")
     _check_qubits(n)
     if basis == "dicke":

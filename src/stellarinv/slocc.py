@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DivergentSumError
-from .roots import DEFAULT_CLUSTER_TOL, cluster
-from .states import RiemannPoint, chordal_distance
+from .roots import DEFAULT_CLUSTER_TOL, single_linkage
+from .states import RiemannPoint, chordal_distance, projective_differences, projective_pairs
 
 #: Chordal threshold below which two points count as the same root when
 #: deciding whether a cross ratio is defined.
@@ -37,24 +37,6 @@ def as_point(value) -> RiemannPoint:
     return RiemannPoint(complex(value))
 
 
-def _pairs(points) -> np.ndarray:
-    """The (m, 2) array of projective pairs (a, b) of the points."""
-    return np.array([(p.a, p.b) for p in map(as_point, points)])
-
-
-def _differences(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projective differences det[x, y] = a_x b_y - a_y b_x of every row
-    point x against every column point y, and the mask of the pairs whose
-    chordal distance 2|det| / sqrt((|a_x|^2 + |b_x|^2)(|a_y|^2 + |b_y|^2))
-    falls below :data:`COINCIDENCE_TOL`: the one rule for "the same root".
-    """
-    ra, rb = rows.T
-    ca, cb = cols.T
-    det = np.multiply.outer(ra, cb) - np.multiply.outer(rb, ca)
-    norms = np.multiply.outer(abs(ra) ** 2 + abs(rb) ** 2, abs(ca) ** 2 + abs(cb) ** 2)
-    return det, 2.0 * abs(det) / np.sqrt(norms) < COINCIDENCE_TOL
-
-
 def cross_ratio(pi, pj, pk, pl) -> RiemannPoint:
     """Cross ratio (alpha_i - alpha_k)(alpha_j - alpha_l) /
     ((alpha_j - alpha_k)(alpha_i - alpha_l)), computed projectively.
@@ -62,8 +44,9 @@ def cross_ratio(pi, pj, pk, pl) -> RiemannPoint:
     Defined whenever at least three of the four points are pairwise
     distinct; the dominant factors cancel exactly for arguments at infinity.
     """
-    pairs = _pairs((pi, pj, pk, pl))
-    det, same = _differences(pairs, pairs)
+    pairs = projective_pairs(map(as_point, (pi, pj, pk, pl)))
+    det, chordal = projective_differences(pairs, pairs)
+    same = chordal < COINCIDENCE_TOL
     if all(same[i, j] or same[i, k] or same[j, k] for i, j, k in combinations(range(4), 3)):
         raise ValueError("cross ratio needs at least three distinct points")
     return RiemannPoint(det[0, 2] * det[1, 3], det[1, 2] * det[0, 3])
@@ -152,12 +135,12 @@ def lambda_vector(
 def _leading_cross_ratios(pts: Sequence[RiemannPoint]) -> list[RiemannPoint] | None:
     """cross_ratio(z, a2, a1, a3) for each root z after the leading triple
     (a1, a2, a3), or None if that triple has a coincident pair.  O(n), with
-    the products of the symmetrized_ik terms and the mask entries it tests
-    for the ordering (a3, a2, a1), so a triple accepted here has terms there.
+    the products of the symmetrized_ik terms and the coincidence tests it
+    makes for the ordering (a3, a2, a1), so a triple accepted here has terms there.
     """
-    pairs = _pairs(pts)
-    det, same = _differences(pairs, pairs[:3])
-    if same[[1, 2, 2], [0, 0, 1]].any():
+    pairs = projective_pairs(pts)
+    det, chordal = projective_differences(pairs, pairs[:3])
+    if (chordal[[1, 2, 2], [0, 0, 1]] < COINCIDENCE_TOL).any():
         return None
     num = det[3:, 0] * det[1, 2]
     den = det[3:, 2] * det[1, 0]
@@ -193,11 +176,12 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
     """
     if k < 1:
         raise ValueError("power k must be a positive integer")
-    pairs = _pairs(roots)
+    pairs = projective_pairs(map(as_point, roots))
     n = len(pairs)
     if n < 4:
         raise ValueError("need at least four roots")
-    det, same = _differences(pairs, pairs)
+    det, chordal = projective_differences(pairs, pairs)
+    same = chordal < COINCIDENCE_TOL
 
     # leading triples (i1, i2, i3) in chunks, each against every i4; the
     # mask holds on the diagonal, so a kept triple has distinct indices
@@ -235,8 +219,8 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
 def degeneracy_class(
     roots: Sequence[RiemannPoint], tol: float = DEFAULT_CLUSTER_TOL
 ) -> tuple[int, ...]:
-    """Descending root-multiplicity signature, the coarse SLOCC class."""
-    return tuple(mult for _, mult in cluster(list(roots), tol))
+    """Descending single-linkage group sizes, the coarse SLOCC class."""
+    return tuple(sorted(map(len, single_linkage(roots, tol)), reverse=True))
 
 
 def canonical_representative(lam) -> RiemannPoint:

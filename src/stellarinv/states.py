@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isfinite
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class RiemannPoint:
         a = complex(a)
         b = complex(b)
         scale = max(abs(a), abs(b))
-        if scale == 0.0 or not np.isfinite(scale):
+        if scale == 0.0 or not isfinite(scale):
             raise ValueError(f"invalid projective pair ({a}, {b})")
         a /= scale
         b /= scale
@@ -137,6 +137,22 @@ def chordal_distance(p: RiemannPoint, q: RiemannPoint) -> float:
     np2 = abs(p.a) ** 2 + abs(p.b) ** 2
     nq2 = abs(q.a) ** 2 + abs(q.b) ** 2
     return 2.0 * abs(cross) / np.sqrt(np2 * nq2)
+
+
+def projective_pairs(points: Iterable[RiemannPoint]) -> np.ndarray:
+    """The (m, 2) array of projective pairs (a, b) of the points."""
+    return np.array([(p.a, p.b) for p in points])
+
+
+def projective_differences(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projective differences det[x, y] = a_x b_y - a_y b_x of every row pair x
+    and column pair y, and their chordal distances 2|det| / sqrt((|a_x|^2 +
+    |b_x|^2)(|a_y|^2 + |b_y|^2)), :func:`chordal_distance` over the grid."""
+    ra, rb = rows.T
+    ca, cb = cols.T
+    det = np.multiply.outer(ra, cb) - np.multiply.outer(rb, ca)
+    norms = np.multiply.outer(abs(ra) ** 2 + abs(rb) ** 2, abs(ca) ** 2 + abs(cb) ** 2)
+    return det, 2.0 * abs(det) / np.sqrt(norms)
 
 
 @dataclass(frozen=True, eq=False)

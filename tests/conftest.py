@@ -1,0 +1,5 @@
+"""Hypothesis draws the same examples on every run of the suite."""
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")

@@ -83,6 +83,32 @@ def multiset_distance(ps, qs):
     return worst
 
 
+def reference_linkage(points, tol):
+    """Single-linkage groups by the scalar pair loop over chordal_distance.
+
+    The reference for ``roots.single_linkage``: same threshold (<= tol) and
+    the same group order (by smallest member, members ascending).
+    """
+    m = len(points)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if chordal_distance(points[i], points[j]) <= tol:
+                parent[find(i)] = find(j)
+
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def assert_multisets_close(ps, qs, tol):
     d = multiset_distance(ps, qs)
     assert d <= tol, f"multiset distance {d:.3e} exceeds {tol:.1e}"

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stellarinv.cli import main
 
@@ -153,6 +158,15 @@ class TestInvariants:
         assert code == 2
         assert out == ""
         assert "finite numbers" in err
+
+    @pytest.mark.parametrize("n", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_qubit_count_exits_2(self, capsys, tmp_path, n):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": %s, "basis": "dicke", "amplitudes": [[1, 0], [0, 0]]}' % n)
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "integer 'n'" in err
 
     def test_huge_amplitudes_match_unit_amplitudes(self, capsys, tmp_path):
         # the plain norm overflows; the state is the same as for unit amplitudes
@@ -381,3 +395,75 @@ class TestRoots:
         assert doc["roots"][-1] == "inf"
         np.testing.assert_allclose(doc["roots"][0], [0, 0], atol=1e-9)
         np.testing.assert_allclose(doc["roots"][1], [1, 0], atol=1e-9)
+
+
+# Finite numbers from the ordinary range and from the extremes of the float
+# range; then values a state file may hold by mistake.
+_FLOATS = st.floats(-3, 3) | st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 1e12, 1e300, 1e308, -1e308])
+_ODD_NUMBERS = st.sampled_from([float("nan"), float("inf"), -float("inf"), True, 10**400, "1"])
+_ODD_N = st.sampled_from([0, -1, 2.5, 1029, 1030, 10**30, float("inf"), float("nan"), "3", None])
+_MUTATIONS = ["none", "none", "none", "n", "basis", "entry", "number", "length", "key", "text"]
+
+
+@st.composite
+def state_texts(draw):
+    """Text of a state file: a valid document of up to 8 qubits with at
+    most one thing wrong in it (a field, an entry, a length, a missing key,
+    or text that is no JSON object)."""
+    n = draw(st.integers(1, 8))
+    pair = st.lists(_FLOATS, min_size=2, max_size=2)
+    if draw(st.booleans()):
+        key, entries = "amplitudes", st.lists(pair, min_size=n + 1, max_size=n + 1)
+        doc = {"n": n, "basis": "dicke"}
+    else:
+        key, entries = "points", st.lists(pair | st.just("inf"), min_size=n, max_size=n)
+        doc = {"n": n, "basis": "majorana"}
+    doc[key] = draw(entries)
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    where = draw(st.integers(0, len(doc[key]) - 1))
+    if mutation == "n":
+        doc["n"] = draw(_ODD_N)
+    elif mutation == "basis":
+        doc["basis"] = draw(st.sampled_from(["ghz", 3, None]))
+    elif mutation == "entry":
+        doc[key][where] = draw(st.none() | st.text(max_size=3) | st.lists(_FLOATS, max_size=3))
+    elif mutation == "number":
+        doc[key][where] = [draw(_ODD_NUMBERS), 0.0]
+    elif mutation == "length":
+        doc[key] = doc[key][1:] if draw(st.booleans()) else doc[key] + [[1.0, 0.0]]
+    elif mutation == "key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    text = json.dumps(doc)
+    if mutation == "text":
+        return draw(st.sampled_from([text[: len(text) // 2], "[]", "", "{}"]) | st.text(max_size=8))
+    return text
+
+
+_COMMANDS = [
+    ["invariants"],
+    ["invariants", "--slocc"],
+    ["invariants", "--lu"],
+    ["invariants", "--oracle-check"],
+    ["classify"],
+    ["roots"],
+    ["transform", "--lu-random"],
+    ["transform", "--ilo-random"],
+    ["transform", "--time-reversal"],
+]
+
+
+class TestFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(text=state_texts(), command=st.sampled_from(_COMMANDS))
+    def test_state_files_end_in_a_known_exit_code(self, tmp_path_factory, text, command):
+        path = tmp_path_factory.getbasetemp() / "fuzz.state.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and command[0] == "classify":  # a label such as {2,1} W
+            assert re.fullmatch(r"\{\d+(,\d+)*\}( [\w-]+)?\n", out.getvalue())
+        elif code == 0:
+            json.loads(out.getvalue())

@@ -1,11 +1,14 @@
-"""Output-drift guard: ``invariants`` reports against stored golden files.
+"""Output-drift guard: ``invariants`` and ``roots`` reports against stored
+golden files.
 
-Each case reads ``data/golden/<name>.state.json`` and compares the report
-with ``data/golden/<name>.invariants.json``.  Keys, strings, integers and
-list shapes must match exactly; floats agree to 1e-12 relative (1e-14
-absolute near zero), so last-bit differences of vectorized arithmetic
-do not count as drift.  After a deliberate output change, regenerate a file
-with ``stellarinv invariants <state> [flags] -o <golden>`` and say why in
+Each case reads ``data/golden/<name>.state.json`` and compares the reports
+with ``data/golden/<name>.invariants.json`` and ``<name>.roots.json``.
+Keys, strings, integers and list shapes must match exactly, so the roots
+report pins the cluster representatives, their order and multiplicities;
+floats agree to 1e-12 relative (1e-14 absolute near zero), so last-bit
+differences of vectorized arithmetic do not count as drift.  After a
+deliberate output change, regenerate a file with
+``stellarinv {invariants,roots} <state> [flags] -o <golden>`` and say why in
 CHANGES.md.
 """
 import json
@@ -56,6 +59,15 @@ def test_invariants_match_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     want = json.loads((GOLDEN / f"{name}.invariants.json").read_text())
+    assert mismatches(json.loads(out), want) == []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_roots_match_golden(name, capsys):
+    code = main(["roots", str(GOLDEN / f"{name}.state.json")])
+    out = capsys.readouterr().out
+    assert code == 0
+    want = json.loads((GOLDEN / f"{name}.roots.json").read_text())
     assert mismatches(json.loads(out), want) == []
 
 

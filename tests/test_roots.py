@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_multisets_close, inf_point, point
+from helpers import (
+    assert_multisets_close,
+    inf_point,
+    point,
+    random_points,
+    random_unit_vector,
+    reference_linkage,
+)
 from stellarinv import (
     MajoranaPolynomial,
+    SphereVector,
     chordal_distance,
     cluster,
+    degeneracy_class,
     find_roots,
+    from_sphere,
+    slocc_summary,
 )
+from stellarinv.roots import single_linkage
 
 
 def poly(coeffs):
@@ -118,3 +132,92 @@ class TestCluster:
         rep, mult = got[0]
         assert mult == 2
         assert chordal_distance(rep, point(1)) <= 1e-12
+
+
+@st.composite
+def planted_clusters(draw):
+    """Up to 8 clusters of up to 8 points, each member within tol/10
+    (chordal) of its centre, shuffled; about half the centres sit at
+    infinity, where the first member is the exact point at infinity."""
+    tol = 10 ** draw(st.floats(-9, -2))
+    sizes = draw(st.lists(st.integers(1, 8), max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = []
+    for size in sizes:
+        at_infinity = draw(st.booleans())
+        centre = np.array([0.0, 0.0, -1.0]) if at_infinity else random_unit_vector(rng)
+        for k in range(size):
+            offset = random_unit_vector(rng) * rng.uniform(0, tol / 10)
+            if at_infinity and k == 0:
+                offset = np.zeros(3)
+            v = centre + offset
+            pts.append(from_sphere(SphereVector.from_array(v / np.linalg.norm(v))))
+    return [pts[i] for i in rng.permutation(len(pts))], tol
+
+
+class TestSingleLinkage:
+    @settings(max_examples=60, deadline=None)
+    @given(planted_clusters())
+    def test_matches_scalar_reference(self, case):
+        pts, tol = case
+        want = reference_linkage(pts, tol)
+        sizes = sorted(map(len, want), reverse=True)
+        assert single_linkage(pts, tol) == want
+        assert degeneracy_class(pts, tol) == tuple(sizes)
+        assert [mult for _, mult in cluster(pts, tol)] == sizes
+
+    def test_chain_is_transitive(self):
+        tol = 1e-6
+        # chordal distance near 0 is about twice the plane distance
+        pts = [point(0), point(0.3 * tol), point(0.6 * tol)]
+        assert chordal_distance(pts[0], pts[1]) <= tol
+        assert chordal_distance(pts[1], pts[2]) <= tol
+        assert chordal_distance(pts[0], pts[2]) > tol
+        for order in ([0, 1, 2], [0, 2, 1], [2, 0, 1]):
+            chain = [pts[i] for i in order]
+            assert single_linkage(chain, tol) == [[0, 1, 2]]
+            assert degeneracy_class(chain, tol) == (3,)
+            assert [mult for _, mult in cluster(chain, tol)] == [3]
+
+    def test_threshold_is_inclusive(self):
+        # antipodes sit at chordal distance exactly 2
+        for pts in ([point(0), inf_point()], [point(1), point(-1)]):
+            assert single_linkage(pts, 2.0) == [[0, 1]]
+            assert single_linkage(pts, 1.999) == [[0], [1]]
+
+    def test_empty_and_single_point(self):
+        assert single_linkage([], 1e-7) == []
+        assert degeneracy_class([], 1e-7) == ()
+        assert cluster([], 1e-7) == []
+        p = point(0.3 - 2j)
+        assert single_linkage([p], 1e-7) == [[0]]
+        assert degeneracy_class([p], 1e-7) == (1,)
+        [(rep, mult)] = cluster([p], 1e-7)
+        assert mult == 1 and chordal_distance(rep, p) <= 1e-15
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-7])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            single_linkage([point(0), point(1)], tol)
+        with pytest.raises(ValueError):
+            degeneracy_class([point(0), point(1)], tol)
+
+    def test_links_across_row_blocks(self):
+        # 204 points take three row blocks; the planted near-copies link
+        # rows of different blocks
+        rng = np.random.default_rng(8)
+        pts = random_points(rng, 200, min_sep=1e-3)
+
+        def near(i):
+            return point(pts[i].value + 1e-9)
+
+        pts[120] = near(3)
+        pts += [near(3), near(150), inf_point(), near(199)]
+        want = reference_linkage(pts, 1e-7)
+        assert sorted(map(len, want), reverse=True)[:4] == [3, 2, 2, 1]
+        assert single_linkage(pts, 1e-7) == want
+
+    def test_slocc_summary_at_qubit_ceiling(self):
+        rng = np.random.default_rng(1029)
+        z = rng.normal(size=1029) + 1j * rng.normal(size=1029)
+        assert slocc_summary([point(x) for x in z]).degeneracy == (1,) * 1029
