@@ -7,7 +7,7 @@ Reports are JSON maps printed to stdout with every numeric rendered to 15
 significant digits, so the fields parse back to the printed values.
 
 Exit codes: 0 success, 2 parse failure, 3 unsupported qubit count for a
-requested invariant, 4 degenerate input.
+requested invariant or SLUI coefficients beyond floats, 4 degenerate input.
 """
 from __future__ import annotations
 
@@ -120,10 +120,8 @@ def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None,
         raise _CliError(EXIT_PARSE, f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise _CliError(EXIT_PARSE, "state file must be a JSON object")
-    try:
-        n = int(doc["n"])
-        basis = doc["basis"]
-    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: n = Infinity
+    n, basis = doc.get("n"), doc.get("basis")
+    if type(n) is not int:  # not a float, string or bool
         raise _CliError(EXIT_PARSE, "state file needs integer 'n' and string 'basis'")
     _check_qubits(n)
     if basis == "dicke":
@@ -430,6 +428,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except (DegenerateInputError, DivergentSumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -17,6 +17,9 @@ from .states import SphereVector
 _UNIT_TOL = 1e-9
 _RANGE_TOL = 1e-9
 
+#: Most factor-by-node products :func:`slui_coefficients` holds at once.
+_SLUI_CHUNK = 1 << 14
+
 
 class LuInvariantSet(NamedTuple):
     """The six polynomial LU invariants of a three-qubit pure state."""
@@ -111,13 +114,24 @@ def lu_invariants3(v: np.ndarray) -> LuInvariantSet:
 def slui_coefficients(v: np.ndarray) -> np.ndarray:
     """Coefficients of the monic symmetrized product prod_{i<j} (x - v_ij).
 
-    Returned highest power first; degree n(n-1)/2 (the empty product of a
+    Returned highest power first; degree N = n(n-1)/2 (the empty product of a
     single point is the constant 1).  Invariant under any relabeling of the
-    points and under global rotation or inversion.
+    points and under global rotation or inversion.  Interpolated from its
+    values at the N+1 roots of unity (half suffice: the v_ij are real), each
+    coefficient to about N eps of the largest; ``OverflowError`` beyond floats.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
     if v.ndim != 2 or v.shape != (n, n) or n < 1:
         raise ValueError("expected a square inner-product matrix")
-    vals = [v[i, j] for i in range(n) for j in range(i + 1, n)]
-    return np.poly(vals) if vals else np.ones(1)
+    vals = np.concatenate([row[i + 1 :] for i, row in enumerate(v)])
+    m = vals.size + 1
+    nodes = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
+    values = np.ones_like(nodes)
+    step = max(1, _SLUI_CHUNK // nodes.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, vals.size, step):
+            values *= (nodes - vals[start : start + step, None]).prod(axis=0)
+            if not np.isfinite(values).all():  # and would stay so
+                raise OverflowError(f"SLUI coefficients of n = {n} points overflow a float")
+    return np.concatenate(([1.0], np.fft.irfft(values, n=m)[-2::-1]))  # the leading 1 is exact

@@ -48,7 +48,7 @@ class RiemannPoint:
         a = complex(a)
         b = complex(b)
         scale = max(abs(a), abs(b))
-        if scale == 0.0 or not isfinite(scale):
+        if scale == 0.0 or not (isfinite(abs(a)) and isfinite(abs(b))):
             raise ValueError(f"invalid projective pair ({a}, {b})")
         a /= scale
         b /= scale

@@ -159,7 +159,7 @@ class TestInvariants:
         assert out == ""
         assert "finite numbers" in err
 
-    @pytest.mark.parametrize("n", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("n", ["Infinity", "-Infinity", "NaN", "2.5", '"3"', "true"])
     def test_non_finite_qubit_count_exits_2(self, capsys, tmp_path, n):
         path = tmp_path / "bad.json"
         path.write_text('{"n": %s, "basis": "dicke", "amplitudes": [[1, 0], [0, 0]]}' % n)
@@ -167,6 +167,18 @@ class TestInvariants:
         assert code == 2
         assert out == ""
         assert "integer 'n'" in err
+
+    def test_slui_overflow_exits_3(self, capsys, tmp_path):
+        path = str(tmp_path / "ghz128.json")
+        assert run(capsys, "generate", "ghz", "-n", "128", "-o", path)[0] == 0
+        code, out, err = run(capsys, "invariants", path)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "overflow" in err
+        # the SLOCC section needs no SLUI coefficients
+        code, out, _ = run(capsys, "invariants", path, "--slocc")
+        assert code == 0
+        assert "NaN" not in out and "Infinity" not in out
+        assert json.loads(out)["slocc"]["degeneracy"] == [1] * 128
 
     def test_huge_amplitudes_match_unit_amplitudes(self, capsys, tmp_path):
         # the plain norm overflows; the state is the same as for unit amplitudes

@@ -1,7 +1,11 @@
+import decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from helpers import random_points, random_state, roots_of
+from stellarinv import lu
 from stellarinv import (
     DegenerateInputError,
     SphereVector,
@@ -27,6 +31,43 @@ def equatorial_triangle():
         SphereVector(np.cos(t), np.sin(t), 0.0)
         for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)
     ]
+
+
+EPS = np.finfo(float).eps
+
+
+def unit_vectors(rng, n):
+    return unit(rng.normal(size=(n, 3)))
+
+
+def lattice_vectors(rng, n):
+    """Fibonacci lattice of n sphere points, each jittered by about 0.1 / sqrt(n)."""
+    z = 1.0 - (2 * np.arange(n) + 1) / n
+    phi = np.arange(n) * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    vecs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    return unit(vecs + rng.normal(scale=0.1 / np.sqrt(n), size=(n, 3)))
+
+
+def unit(vecs):
+    return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+
+def gram_of(vecs):
+    return gram([SphereVector.from_array(v) for v in vecs])
+
+
+def expand(g, number):
+    """prod_{i<j} (x - g_ij) in the arithmetic of ``number``, highest power first."""
+    coeffs = [number(1)]
+    for v in g[np.triu_indices(g.shape[0], 1)]:
+        v = number(float(v))
+        coeffs = [a - v * b for a, b in zip(coeffs + [number(0)], [number(0)] + coeffs)]
+    return np.array([float(c) for c in coeffs])
+
+
+def normwise(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
 
 
 class TestGram:
@@ -182,3 +223,53 @@ class TestSluiCoefficients:
             perm = rng.permutation(5)
             shuffled = [pts[i] for i in perm]
             np.testing.assert_allclose(slui_coefficients(gram(shuffled)), base, atol=1e-12)
+
+    def test_one_point_is_the_constant_one(self):
+        got = slui_coefficients(np.ones((1, 1)))
+        assert got.dtype == float and got.tolist() == [1.0]
+
+    def test_leading_coefficient_is_exactly_one(self):
+        rng = np.random.default_rng(37)
+        for n in range(1, 41):
+            assert slui_coefficients(gram_of(unit_vectors(rng, n)))[0] == 1.0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_exact_expansion(self, n):
+        # the same float v_ij, expanded in rational arithmetic
+        rng = np.random.default_rng(38 + n)
+        configs = [unit_vectors(rng, n) for _ in range(3)]
+        configs.append(np.array([[0.0, 0.0, 1.0]] * (n // 2) + [[0.0, 0.0, -1.0]] * (n - n // 2)))
+        big_n = n * (n - 1) // 2
+        for vecs in configs:
+            g = gram_of(vecs)
+            ref = expand(g, Fraction)
+            assert normwise(slui_coefficients(g), ref) <= 8 * big_n * EPS
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_several_chunks_match_a_50_digit_expansion(self, n):
+        big_n = n * (n - 1) // 2
+        nodes = (big_n + 1) // 2 + 1
+        assert lu._SLUI_CHUNK // nodes < big_n  # the factors span several chunks
+        g = gram_of(unit_vectors(np.random.default_rng(n), n))
+        with decimal.localcontext(decimal.Context(prec=50)):
+            ref = expand(g, decimal.Decimal)
+        assert normwise(slui_coefficients(g), ref) <= 8 * big_n * EPS
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_lu_invariance_at_large_n(self, n):
+        # near-uniform points: np.poly's expansion drifted by 7e-6 (n = 48)
+        # and 1.7 (n = 64) here
+        rng = np.random.default_rng(39 + n)
+        for _ in range(3):
+            vecs = lattice_vectors(rng, n)
+            rot = rotation_from_h(rng.normal(size=3))
+            base = slui_coefficients(gram_of(vecs))
+            assert normwise(slui_coefficients(gram_of(vecs @ rot.T)), base) <= 1e-12
+
+    def test_overflow_raises(self):
+        # GHZ_128: 128 equatorial points; the coefficients exceed the float range
+        t = np.pi * (2 * np.arange(128) + 1) / 128
+        g = gram_of(np.stack([np.cos(t), np.sin(t), np.zeros(128)], axis=1))
+        with pytest.raises(OverflowError, match="n = 128"):
+            slui_coefficients(g)
+

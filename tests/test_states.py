@@ -189,3 +189,9 @@ class TestRoundTrip:
 def test_invalid_projective_pair():
     with pytest.raises(ValueError):
         RiemannPoint(0, 0)
+
+
+@pytest.mark.parametrize("a, b", [(1, float("nan")), (float("nan"), 1)])
+def test_nan_coordinate_rejected(a, b):
+    with pytest.raises(ValueError):
+        RiemannPoint(a, b)
