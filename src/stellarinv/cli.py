@@ -29,7 +29,7 @@ from .oracle import (
     partial_trace,
     wootters_concurrence,
 )
-from .roots import cluster, find_roots, point_key
+from .roots import DEFAULT_CLUSTER_TOL, cluster, find_roots, point_key
 from .slocc import degeneracy_class, slocc_summary
 from .states import (
     MAX_QUBITS,
@@ -363,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     tol.add_argument(
         "--tol",
         type=_positive_float,
-        default=1e-7,
-        help="clustering/classification tolerance (default 1e-7)",
+        default=DEFAULT_CLUSTER_TOL,
+        help="clustering/classification tolerance (default %(default)s)",
     )
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")

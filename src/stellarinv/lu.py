@@ -126,6 +126,9 @@ def slui_coefficients(v: np.ndarray) -> np.ndarray:
         raise ValueError("expected a square inner-product matrix")
     vals = np.concatenate([row[i + 1 :] for i, row in enumerate(v)])
     m = vals.size + 1
+    # |P(i)| <= m max|c_k| <= m max|P(node)|: past 2**1025 the loop below overflows
+    if np.log2(np.hypot(1.0, vals)).sum() - np.log2(m) >= 1025:
+        raise OverflowError(f"SLUI coefficients of n = {n} points overflow a float")
     nodes = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
     values = np.ones_like(nodes)
     step = max(1, _SLUI_CHUNK // nodes.size)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DivergentSumError
-from .roots import DEFAULT_CLUSTER_TOL, single_linkage
+from .roots import DEFAULT_CLUSTER_TOL, point_key, single_linkage
 from .states import RiemannPoint, chordal_distance, projective_differences, projective_pairs
 
 #: Chordal threshold below which two points count as the same root when
@@ -126,22 +126,12 @@ def lambda_vector(
         pts = [pts[i] for i in ordering]
     if len(pts) < 4:
         raise ValueError("need at least four roots")
-    lam = _leading_cross_ratios(pts)
-    if lam is None:
-        raise ValueError("first three roots must be pairwise distinct")
-    return lam
-
-
-def _leading_cross_ratios(pts: Sequence[RiemannPoint]) -> list[RiemannPoint] | None:
-    """cross_ratio(z, a2, a1, a3) for each root z after the leading triple
-    (a1, a2, a3), or None if that triple has a coincident pair.  O(n), with
-    the products of the symmetrized_ik terms and the coincidence tests it
-    makes for the ordering (a3, a2, a1), so a triple accepted here has terms there.
-    """
+    # cross_ratio(z, a2, a1, a3) with the products and coincidence tests of the
+    # symmetrized_ik terms of (a3, a2, a1): a triple accepted here has terms there
     pairs = projective_pairs(pts)
     det, chordal = projective_differences(pairs, pairs[:3])
     if (chordal[[1, 2, 2], [0, 0, 1]] < COINCIDENCE_TOL).any():
-        return None
+        raise ValueError("first three roots must be pairwise distinct")
     num = det[3:, 0] * det[1, 2]
     den = det[3:, 2] * det[1, 0]
     return [RiemannPoint(x, y) for x, y in zip(num.tolist(), den.tolist())]
@@ -174,7 +164,15 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
     adds one rounding.  Raises ``ValueError`` when no ordering has a
     pairwise-distinct leading triple, since the sum is then empty.
     """
-    if k < 1:
+    sums, skipped, total = _power_sums(roots, (k,))
+    return PowerSumResult(sums[k], skipped, total)
+
+
+def _power_sums(
+    roots: Sequence[RiemannPoint], powers: Sequence[int]
+) -> tuple[dict[int, complex], int, int]:
+    """Values by power, skipped and total of symmetrized_ik from one 4-tuple pass."""
+    if min(powers) < 1:
         raise ValueError("power k must be a positive integer")
     pairs = projective_pairs(map(as_point, roots))
     n = len(pairs)
@@ -189,8 +187,7 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
     triples = n**3
     step = max(1, _TUPLE_CHUNK // n)
     kept = 0
-    re_parts: list[float] = []
-    im_parts: list[float] = []
+    parts: dict[int, tuple[list[float], list[float]]] = {k: ([], []) for k in powers}
     for start in range(0, triples, step):
         i1, i2, i3 = np.unravel_index(
             np.arange(start, min(start + step, triples)), (n, n, n)
@@ -204,16 +201,18 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
             raise DivergentSumError(
                 "transformed cross ratio exceeds the divergence threshold"
             )
-        terms = (num / den) ** k
-        kept += terms.size
-        re_parts.append(math.fsum(terms.real.tolist()))
-        im_parts.append(math.fsum(terms.imag.tolist()))
+        ratio = num / den
+        kept += ratio.size
+        for k, (re_parts, im_parts) in parts.items():
+            terms = ratio**k
+            re_parts.append(math.fsum(terms.real.tolist()))
+            im_parts.append(math.fsum(terms.imag.tolist()))
     if not kept:
         raise ValueError("fewer than three distinct roots: no valid ordering")
     weight = math.factorial(n - 4)
     total = math.factorial(n)
-    value = complex(math.fsum(re_parts), math.fsum(im_parts)) * weight
-    return PowerSumResult(value, total - kept * weight, total)
+    sums = {k: complex(math.fsum(re), math.fsum(im)) * weight for k, (re, im) in parts.items()}
+    return sums, total - kept * weight, total
 
 
 def degeneracy_class(
@@ -230,13 +229,7 @@ def canonical_representative(lam) -> RiemannPoint:
     rounding both parts to 1e-12; infinity sorts last.  Orbit-equivalent
     inputs therefore map to an identical output.
     """
-    def key(p: RiemannPoint):
-        if p.is_infinite:
-            return (1, 0.0, 0.0)
-        z = p.value
-        return (0, round(z.real, 12), round(z.imag, 12))
-
-    return min(anharmonic_orbit(lam), key=key)
+    return min(anharmonic_orbit(lam), key=lambda p: [round(x, 12) for x in point_key(p)])
 
 
 @dataclass(frozen=True)
@@ -245,8 +238,8 @@ class SloccInvariantSet:
 
     ``lambda_vector`` is None when fewer than three distinct roots exist;
     ``klein_j``/``canonical_lambda`` are filled for n = 4 away from the
-    degenerate orbit; ``symmetrized`` holds the power sums that were
-    computable (divergent ones are flagged instead).
+    degenerate orbit; ``symmetrized`` holds the power sums unless they
+    diverge, which is flagged instead.
     """
 
     degeneracy: tuple[int, ...]
@@ -258,14 +251,15 @@ class SloccInvariantSet:
     divergent: bool = False
 
 
-#: Largest n for which the permutation power sums are computed by default.
+#: Largest n for which the permutation power sums are computed.
 MAX_POWER_SUM_N = 8
+#: Powers k of the permutation power sums a summary reports.
+SUMMARY_POWERS = (2, 4)
 
 
 def slocc_summary(
     roots: Sequence[RiemannPoint],
     tol: float = DEFAULT_CLUSTER_TOL,
-    powers: Sequence[int] = (2, 4),
 ) -> SloccInvariantSet:
     """Compute every SLOCC invariant applicable to the given root multiset."""
     pts = [as_point(r) for r in roots]
@@ -276,29 +270,27 @@ def slocc_summary(
     if n >= 4:
         triple = _leading_triple(pts)
         if triple is not None:
-            rest = [p for i, p in enumerate(pts) if i not in triple]
-            lam_vec = _leading_cross_ratios([pts[i] for i in triple] + rest)
+            rest = [i for i in range(n) if i not in triple]
+            try:
+                lam_vec = lambda_vector(pts, ordering=[*triple, *rest])
+            except ValueError:  # the array re-check rejects a near-threshold triple
+                pass
 
     kj = canon = None
     if n == 4 and lam_vec is not None:
-        lam = lam_vec[0]
         try:
-            kj = klein_j(lam)
-            canon = canonical_representative(lam)
+            kj = klein_j(lam_vec[0])
+            canon = canonical_representative(lam_vec[0])
         except DegenerateInputError:
             pass
 
     sums: dict[int, complex] = {}
     skipped, divergent = 0, False
     if 4 <= n <= MAX_POWER_SUM_N and lam_vec is not None:
-        for k in powers:
-            try:
-                res = symmetrized_ik(pts, k)
-            except DivergentSumError:
-                divergent = True
-                break
-            sums[k] = res.value
-            skipped = res.skipped
+        try:
+            sums, skipped, _ = _power_sums(pts, SUMMARY_POWERS)
+        except DivergentSumError:
+            divergent = True
     return SloccInvariantSet(
         degeneracy=signature,
         lambda_vector=lam_vec,
@@ -315,7 +307,7 @@ def _leading_triple(pts: Sequence[RiemannPoint]) -> tuple[int, int, int] | None:
 
     Scalar, as it usually stops after three comparisons (a few microseconds
     against tens for the array differences).  Its rounding can differ from
-    the array's near the threshold, so _leading_cross_ratios re-checks.
+    the array's near the threshold, so lambda_vector re-checks.
     """
     chosen: list[int] = []
     for i, p in enumerate(pts):

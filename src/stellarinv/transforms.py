@@ -102,7 +102,8 @@ def _power_tables(n: int) -> tuple[np.ndarray, ...]:
     of an upper-triangular factor's power and the steps max(k - j, 0).
     """
     k = np.arange(n + 1)
-    root_binomials = binomial_factors(n)
+    # an exact power of two that keeps pascal * root_binomials finite to MAX_QUBITS
+    root_binomials = np.ldexp(binomial_factors(n), -512)
     pascal = np.array([[comb(col, row) for col in range(n + 1)] for row in k], dtype=float)
     qs = _recursive_power(_S, n)
     tables = (
@@ -126,7 +127,7 @@ def symmetric_power(m, n: int) -> np.ndarray:
     phases around Q^dagger diag Q with the cached Q; each entry of the power
     of R is a single product of powers.  No entry is a sum that cancels:
     against an 80-digit reference the error stays within 3e-14 of the norm
-    up to n = 64.
+    up to n = 64.  ``OverflowError`` when an entry is beyond floats.
     """
     (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
     r = math.hypot(abs(a), abs(c))
@@ -146,8 +147,12 @@ def symmetric_power(m, n: int) -> np.ndarray:
         )
     )
     k = np.arange(n + 1)
-    triangular = weights * np.power(r01, k)[steps] * r ** (n - k) * np.power(r11, k)[:, None]
-    return (left[:, None] * qs_adj * middle) @ ((qs * right) @ triangular)
+    with np.errstate(over="ignore", invalid="ignore"):
+        triangular = weights * np.power(r01, k)[steps] * r ** (n - k) * np.power(r11, k)[:, None]
+        out = (left[:, None] * qs_adj * middle) @ ((qs * right) @ triangular)
+    if not np.isfinite(out).all():
+        raise OverflowError(f"symmetric power n = {n} of this operator overflows a float")
+    return out
 
 
 def _exp_traceless(g: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ class TestTransform:
         for out in (out1, out2):
             code, _, _ = run(capsys, "transform", src, "--lu-random", "--seed", "7", "-o", out)
             assert code == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_lu_random_preserves_invariants(self, capsys, tmp_path):
         src = ghz3_file(tmp_path)
@@ -344,7 +345,7 @@ class TestTransform:
         out = str(tmp_path / "tr.json")
         code, _, _ = run(capsys, "transform", path, "--time-reversal", "-o", out)
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["basis"] == "majorana"
         got = sorted(
             (complex(p[0], p[1]) for p in doc["points"] if p != "inf"),

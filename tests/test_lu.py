@@ -1,4 +1,5 @@
 import decimal
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -272,4 +273,12 @@ class TestSluiCoefficients:
         g = gram_of(np.stack([np.cos(t), np.sin(t), np.zeros(128)], axis=1))
         with pytest.raises(OverflowError, match="n = 128"):
             slui_coefficients(g)
+
+    def test_overflow_at_the_qubit_ceiling_raises_at_once(self):
+        # the interpolation would take tens of seconds to overflow at n = 1029
+        g = gram_of(unit_vectors(np.random.default_rng(1029), 1029))
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="n = 1029"):
+            slui_coefficients(g)
+        assert time.perf_counter() - start < 1.0
 

@@ -353,6 +353,49 @@ class TestSymmetrizedIk:
         assert summary.symmetrized or summary.divergent
 
 
+def summary_cases():
+    """Root sets at n = 4..8: random, with a root at infinity, the chain plus
+    random roots, and a repeated root at the front and at the back."""
+    rng = np.random.default_rng(72)
+    for n in range(4, 9):
+        plain = random_points(rng, n, min_sep=0.05)
+        yield plain
+        yield plain[:-1] + [inf_point()]
+        yield [point(z) for z in CHAIN] + plain[4:]
+        yield [plain[0]] + plain[:-1]
+        yield plain[:-1] + [plain[0]]
+
+
+class TestSummaryMatchesPublicFunctions:
+    def test_power_sums_are_bit_identical(self):
+        diverged = 0
+        for pts in summary_cases():
+            summary = slocc_summary(pts)
+            assert summary.lambda_vector is not None
+            try:
+                results = {k: symmetrized_ik(pts, k) for k in (2, 4)}
+            except DivergentSumError:
+                diverged += 1
+                assert summary.divergent and summary.symmetrized == {}
+                continue
+            assert not summary.divergent
+            assert summary.symmetrized == {k: res.value for k, res in results.items()}
+            assert summary.skipped_permutations == results[2].skipped == results[4].skipped
+        assert 0 < diverged
+
+    def test_lambda_is_lambda_vector_when_the_first_three_are_distinct(self):
+        compared = 0
+        for pts in summary_cases():
+            try:
+                want = lambda_vector(pts)
+            except ValueError:  # the first three roots are not pairwise distinct
+                continue
+            got = slocc_summary(pts).lambda_vector
+            assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in want]
+            compared += 1
+        assert 0 < compared
+
+
 class TestDegeneracyClass:
     def test_ghz3(self):
         pts = [point(np.exp(1j * np.pi / 3)), point(-1), point(np.exp(-1j * np.pi / 3))]

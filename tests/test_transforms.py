@@ -188,6 +188,10 @@ class TestSymmetricPower:
                 atol=1e-12,
             )
 
+    def test_power_beyond_floats_raises(self):
+        with pytest.raises(OverflowError, match="n = 110"):
+            symmetric_power(np.diag([1e3, 1e-3]), 110)
+
     def test_import_leaves_scipy_out(self):
         # cold start: importing scipy used to be most of every CLI call
         src = os.path.dirname(os.path.dirname(stellarinv.__file__))
