@@ -231,24 +231,28 @@ def cmd_invariants(args) -> int:
     pts = file_points or find_roots(majorana_polynomial(state))
     vecs = [to_sphere(p) for p in pts]
     g = gram(vecs)
-    report = {
-        "n": state.n,
-        "roots": [_point_json(p) for p in sorted(pts, key=point_key)],
-        "points": [[_sig15(c) for c in (v.x, v.y, v.z)] for v in vecs],
-        "gram": [[_sig15(c) for c in row] for row in g],
-    }
+    # every section before the n x n Gram is formatted: a section can still
+    # fail (exit 3 or 4), and at the qubit ceiling that Gram is 1M entries
+    sections = {}
     both = not (args.lu or args.slocc)
     if args.lu or both:
-        report["lu"] = _lu_section(state, g)
+        sections["lu"] = _lu_section(state, g)
     if args.slocc or both:
         summary = slocc_summary(pts, args.tol)
         if args.slocc and state.n == 4 and summary.klein_j is None:
             raise DegenerateInputError(
                 "repeated roots put the cross ratio on the degenerate orbit {0, 1, inf}"
             )
-        report["slocc"] = _slocc_section(summary)
+        sections["slocc"] = _slocc_section(summary)
     if args.oracle_check:
-        report["oracle"] = _oracle_section(state, g)
+        sections["oracle"] = _oracle_section(state, g)
+    report = {
+        "n": state.n,
+        "roots": [_point_json(p) for p in sorted(pts, key=point_key)],
+        "points": [[_sig15(c) for c in (v.x, v.y, v.z)] for v in vecs],
+        "gram": [[_sig15(c) for c in row] for row in g],
+        **sections,
+    }
     _emit(report, args.output)
     return EXIT_OK
 

@@ -28,7 +28,7 @@ _MAX_POLISH = 8
 _LINK_CHUNK = 1 << 14
 
 
-def _eval_scaled(asc: np.ndarray, z: complex) -> complex:
+def _eval_scaled(asc: Sequence[complex], z: complex) -> complex:
     """Horner evaluation with bounded intermediates.
 
     For |z| > 1 the reversed polynomial is evaluated at 1/z instead, which
@@ -44,7 +44,7 @@ def _eval_scaled(asc: np.ndarray, z: complex) -> complex:
     return acc
 
 
-def _newton_step(asc: np.ndarray, z: complex) -> complex:
+def _newton_step(asc: Sequence[complex], z: complex) -> complex:
     p = 0.0 + 0.0j
     dp = 0.0 + 0.0j
     for c in asc[::-1]:
@@ -55,15 +55,30 @@ def _newton_step(asc: np.ndarray, z: complex) -> complex:
     return z - p / dp
 
 
+def _scaled_residuals(asc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|P(z)| of every z in the charts of :func:`_eval_scaled` (P at z for
+    |z| <= 1, the reversed polynomial at 1/z otherwise), as one product of the
+    Vandermonde matrix of the chart points with the coefficients."""
+    outside = np.abs(z) > 1.0
+    w = z.copy()
+    w[outside] = 1.0 / z[outside]
+    powers = np.empty((z.size, asc.size), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = w[:, None]
+    np.cumprod(powers, axis=1, out=powers)  # |w| <= 1: no power overflows
+    return np.abs(np.where(outside, powers @ asc[::-1], powers @ asc))
+
+
 def find_roots(
     poly: MajoranaPolynomial, tol: float = DEFAULT_ROOT_TOL
 ) -> list[RiemannPoint]:
     """All n roots of the polynomial, points at infinity included.
 
     Finite roots come from the companion-matrix eigenvalues of the trailing
-    degree-d polynomial, polished with a few Newton steps; the remaining
-    n - d roots are exact points at infinity.  Each finite root satisfies
-    the scaled residual bound |P(root)| <= tol * max|coefficient|.
+    degree-d polynomial; those whose scaled residual (one array pass) lies
+    above the machine-precision floor are polished with a few Newton steps;
+    the remaining n - d roots are exact points at infinity.  Each finite root
+    satisfies the scaled residual bound |P(root)| <= tol * max|coefficient|.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -77,26 +92,31 @@ def find_roots(
     if d > 0:
         trailing = coeffs[: d + 1]
         raw = np.roots(trailing[::-1])
+        res = _scaled_residuals(trailing, raw)
         bound = tol * scale
         # polish to the machine-precision floor, not merely to the bound:
         # simple roots gain several digits over the raw eigenvalues
         floor = 64.0 * np.finfo(float).eps * scale
-        for r in raw:
-            r = complex(r)
-            res = abs(_eval_scaled(trailing, r))
+        asc = trailing.tolist()
+        found = raw.tolist()
+        for i in np.flatnonzero(res > floor).tolist():
+            r = found[i]
+            r_res = abs(_eval_scaled(asc, r))
             for _ in range(_MAX_POLISH):
-                if res <= floor:
+                if r_res <= floor:
                     break
-                cand = _newton_step(trailing, r)
-                cand_res = abs(_eval_scaled(trailing, cand))
-                if cand_res >= res:
+                cand = _newton_step(asc, r)
+                cand_res = abs(_eval_scaled(asc, cand))
+                if cand_res >= r_res:
                     break
-                r, res = cand, cand_res
-            if res > bound:
-                raise ArithmeticError(
-                    f"root residual {res:.3e} exceeds bound {bound:.3e}"
-                )
-            points.append(RiemannPoint(r))
+                r, r_res = cand, cand_res
+            found[i], res[i] = r, r_res
+        over = np.flatnonzero(res > bound)
+        if over.size:
+            raise ArithmeticError(
+                f"root residual {res[over[0]]:.3e} exceeds bound {bound:.3e}"
+            )
+        points.extend(map(RiemannPoint, found))
     points.extend(RiemannPoint.infinity() for _ in range(n - d))
     return points
 

@@ -12,6 +12,7 @@ Everything here is immutable after construction and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, isfinite
 from typing import Iterable, Sequence
 
@@ -238,13 +239,16 @@ def from_dicke(n: int, amplitudes) -> SymmetricState:
     return SymmetricState(int(n), np.asarray(amplitudes, dtype=complex))
 
 
+@lru_cache(maxsize=64)
 def binomial_factors(n: int) -> np.ndarray:
-    """sqrt(binom(n, k)) for k = 0..n as floats.
+    """sqrt(binom(n, k)) for k = 0..n as floats, read-only (cached per n).
 
     Each binomial is rounded to float before the root; a numpy array of the
     exact integers overflows int64 from n = 68 on.
     """
-    return np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+    factors = np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+    factors.setflags(write=False)
+    return factors
 
 
 def majorana_polynomial(state: SymmetricState) -> MajoranaPolynomial:
@@ -257,6 +261,27 @@ def state_from_polynomial(poly: MajoranaPolynomial) -> SymmetricState:
     return from_dicke(poly.n, poly.coefficients / binomial_factors(poly.n))
 
 
+def _monic_from_roots(roots: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the monic product of (x - r) over ``roots``.
+
+    The factors are multiplied as a balanced tree: roots sorted, factor i
+    paired with factor i + m, an odd one out folded into the first product
+    (numpy's ``polyfromroots`` tree, so the same bits).  Multiplying one
+    factor at a time instead cost the roots of jittered lattice states at
+    n = 16..32 about 2.6 digits of residual.
+    """
+    if roots.size == 0:
+        return np.ones(1)
+    factors = list(np.stack([-np.sort(roots), np.ones_like(roots)], axis=1))
+    while len(factors) > 1:
+        m, odd = divmod(len(factors), 2)
+        tmp = [np.convolve(factors[i], factors[i + m]) for i in range(m)]
+        if odd:
+            tmp[0] = np.convolve(tmp[0], factors[-1])
+        factors = tmp
+    return factors[0]
+
+
 def state_from_roots(points: Sequence[RiemannPoint]) -> SymmetricState:
     """Symmetric state whose polynomial root multiset is ``points``.
 
@@ -266,7 +291,7 @@ def state_from_roots(points: Sequence[RiemannPoint]) -> SymmetricState:
     n = len(points)
     if n == 0:
         raise ValueError("empty root multiset")
-    finite = [p.value for p in points if not p.is_infinite]
+    finite = np.array([p.value for p in points if not p.is_infinite], dtype=complex)
     coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[: len(finite) + 1] = np.polynomial.polynomial.polyfromroots(finite)
+    coeffs[: finite.size + 1] = _monic_from_roots(finite)
     return state_from_polynomial(MajoranaPolynomial(coeffs))

@@ -14,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -104,7 +103,13 @@ def _power_tables(n: int) -> tuple[np.ndarray, ...]:
     k = np.arange(n + 1)
     # an exact power of two that keeps pascal * root_binomials finite to MAX_QUBITS
     root_binomials = np.ldexp(binomial_factors(n), -512)
-    pascal = np.array([[comb(col, row) for col in range(n + 1)] for row in k], dtype=float)
+    # pascal[j, k] = binom(k, j): column k is row k of Pascal's triangle,
+    # added up in exact integers and rounded once
+    pascal = np.zeros((n + 1, n + 1))
+    row = np.ones(1, dtype=object)
+    for col in range(n + 1):
+        pascal[: col + 1, col] = row
+        row = np.concatenate(([1], row[1:] + row[:-1], [1]))
     qs = _recursive_power(_S, n)
     tables = (
         qs,

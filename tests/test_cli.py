@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stellarinv
 from stellarinv.cli import main
 
 
@@ -191,6 +195,27 @@ class TestInvariants:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_majorana_file_leaves_numpy_polynomial_out(self, tmp_path):
+        # about 5 ms of import that state_from_roots no longer needs
+        path = write_state(
+            tmp_path, "maj.json", {"n": 3, "basis": "majorana", "points": [[0, 0], [1, 0], "inf"]}
+        )
+        src = os.path.dirname(os.path.dirname(stellarinv.__file__))
+        code = (
+            "import sys; from stellarinv.cli import main; main(['invariants', sys.argv[1]]); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')), "
+            "file=sys.stderr)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, path],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stderr.strip() == "[]"
 
     def test_oracle_check_unsupported_n(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "ghz4-family", "-o", str(tmp_path / "g4.json"))

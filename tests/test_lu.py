@@ -85,6 +85,10 @@ class TestGram:
         g = gram([X_HAT, X_HAT])
         np.testing.assert_allclose(g, np.ones((2, 2)), atol=0)
 
+    def test_empty_and_single_point(self):
+        assert gram([]).shape == (0, 0)
+        assert np.array_equal(gram([X_HAT]), [[1.0]])
+
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             gram([SphereVector(0.5, 0.0, 0.0)])

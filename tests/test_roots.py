@@ -21,7 +21,9 @@ from stellarinv import (
     from_sphere,
     slocc_summary,
 )
-from stellarinv.roots import single_linkage
+from stellarinv.roots import _eval_scaled, _scaled_residuals, single_linkage
+
+EPS = np.finfo(float).eps
 
 
 def poly(coeffs):
@@ -81,6 +83,31 @@ class TestFindRoots:
                 rebuilt = np.polynomial.polynomial.polyfromroots(roots)
                 monic = c / c[n]
                 np.testing.assert_allclose(rebuilt, monic, rtol=0, atol=1e-8 * np.abs(monic).max())
+
+    def test_tol_below_reach_raises(self):
+        rng = np.random.default_rng(26)
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        with pytest.raises(ArithmeticError, match="exceeds bound"):
+            find_roots(poly(c), tol=1e-300)
+
+    def test_array_residuals_match_horner(self):
+        # the polish gate reads the array pass, the polish itself the scalar one
+        rng = np.random.default_rng(27)
+        for d in (1, 2, 3, 8, 16, 33, 64):
+            c = (rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)) * 10 ** rng.uniform(
+                -3, 3, size=d + 1
+            )
+            z = np.concatenate(
+                [
+                    np.roots(c[::-1]),
+                    [0, 1e200, -1e200j, 1, -1j],
+                    (rng.normal(size=8) + 1j * rng.normal(size=8)) * 10 ** rng.uniform(-5, 5, 8),
+                ]
+            )
+            want = [abs(_eval_scaled(c.tolist(), complex(w))) for w in z]
+            np.testing.assert_allclose(
+                _scaled_residuals(c, z), want, rtol=0, atol=4 * (d + 1) * EPS * np.abs(c).max()
+            )
 
     def test_multiplicity_and_infinity_counts(self):
         rng = np.random.default_rng(23)

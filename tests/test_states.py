@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_multisets_close, inf_point, point, random_points, roots_of
 from stellarinv import (
+    MajoranaPolynomial,
     RiemannPoint,
     chordal_distance,
     from_dicke,
@@ -14,6 +17,7 @@ from stellarinv import (
     state_from_roots,
     to_sphere,
 )
+from stellarinv.states import binomial_factors
 
 SQ2 = np.sqrt(2.0)
 
@@ -73,6 +77,13 @@ class TestMajoranaPolynomial:
         assert poly.degree == 0
         assert poly.infinite_root_count == 4
 
+    def test_binomial_factors_cached_read_only(self):
+        f = binomial_factors(70)
+        assert f is binomial_factors(70)
+        assert np.array_equal(f, np.sqrt([float(comb(70, k)) for k in range(71)]))
+        with pytest.raises(ValueError):
+            f[0] = 2.0
+
     def test_polynomial_state_round_trip(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 5, 8):
@@ -84,7 +95,32 @@ class TestMajoranaPolynomial:
             np.testing.assert_allclose(abs(ratio), 1.0, atol=1e-12)
 
 
+@st.composite
+def root_multisets(draw):
+    """Up to 64 points drawn from a pool of up to 16, so that roots repeat;
+    the pool may hold the point at infinity (None)."""
+    finite = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.one_of(st.none(), finite), min_size=1, max_size=16))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64))
+    return [inf_point() if z is None else point(z) for z in picks]
+
+
+def polyfromroots_state(points):
+    """state_from_roots through numpy.polynomial's own product tree."""
+    finite = [p.value for p in points if not p.is_infinite]
+    coeffs = np.zeros(len(points) + 1, dtype=complex)
+    coeffs[: len(finite) + 1] = np.polynomial.polynomial.polyfromroots(finite)
+    return state_from_polynomial(MajoranaPolynomial(coeffs))
+
+
 class TestStateFromRoots:
+    @settings(max_examples=80, deadline=None)
+    @given(points=root_multisets())
+    def test_matches_polyfromroots_bit_for_bit(self, points):
+        assert np.array_equal(
+            state_from_roots(points).amplitudes, polyfromroots_state(points).amplitudes
+        )
+
     def test_cube_roots_give_ghz3(self):
         pts = [point(np.exp(1j * np.pi / 3)), point(-1), point(np.exp(-1j * np.pi / 3))]
         state = state_from_roots(pts)

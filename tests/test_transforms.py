@@ -43,7 +43,8 @@ from stellarinv import (
     to_sphere,
     y_theta,
 )
-from stellarinv.transforms import symmetric_power
+from stellarinv.states import binomial_factors
+from stellarinv.transforms import _power_tables, symmetric_power
 
 
 def random_ilo(rng, gamma_bound=10.0):
@@ -176,6 +177,13 @@ class TestSymmetricPower:
         for n in (1, 4, 7):
             ref = dense_power(m, n)
             assert np.abs(symmetric_power(m, n) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_triangular_weights_match_binomials(self):
+        for n in (1, 2, 7, 130):
+            pascal = np.array([[comb(c, r) for c in range(n + 1)] for r in range(n + 1)], dtype=float)
+            root_binomials = np.ldexp(binomial_factors(n), -512)
+            want = pascal * root_binomials / root_binomials[:, None]
+            assert np.array_equal(_power_tables(n)[3], want)
 
     def test_multiplicative_at_n64(self):
         rng = np.random.default_rng(71)
