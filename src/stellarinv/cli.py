@@ -7,7 +7,8 @@ Reports are JSON maps printed to stdout with every numeric rendered to 15
 significant digits, so the fields parse back to the printed values.
 
 Exit codes: 0 success, 2 parse failure, 3 unsupported qubit count for a
-requested invariant or SLUI coefficients beyond floats, 4 degenerate input.
+requested invariant or a polynomial, operator or SLUI coefficients beyond
+floats, 4 degenerate input.
 """
 from __future__ import annotations
 
@@ -202,6 +203,8 @@ def _slocc_section(summary):
 
 def _oracle_section(state, g):
     n = state.n
+    if n not in (2, 3):
+        raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {n}")
     dense = dicke_expand(state)
     if n == 2:
         v12 = float(g[0, 1])
@@ -217,13 +220,11 @@ def _oracle_section(state, g):
             "bloch_radius_sq": _sig15(radius_sq),
             "max_abs_deviation": _sig15(dev),
         }
-    if n == 3:
-        inv = oracle_lu_invariants3(dense)
-        dev = max(abs(a - b) for a, b in zip(inv, lu_invariants3(g)))
-        section = {k: _sig15(v) for k, v in inv._asdict().items()}
-        section["max_abs_deviation"] = _sig15(dev)
-        return section
-    raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {n}")
+    inv = oracle_lu_invariants3(dense)
+    dev = max(abs(a - b) for a, b in zip(inv, lu_invariants3(g)))
+    section = {k: _sig15(v) for k, v in inv._asdict().items()}
+    section["max_abs_deviation"] = _sig15(dev)
+    return section
 
 
 def cmd_invariants(args) -> int:

@@ -3,18 +3,18 @@
 Symmetric states are expanded into dense computational-basis vectors and
 the invariants are evaluated from their textbook definitions (reduced
 density matrices, spin-flip concurrence, hyperdeterminant 3-tangle),
-independently of any stellar-geometry formula.  Qubit 1 is the most
-significant bit of the basis index.
+independently of any stellar-geometry formula.  Every function on a 2^n
+register lives here.  Qubit 1 is the most significant bit of the basis
+index, and the bit count of an index is its Dicke index.
 """
 from __future__ import annotations
 
-from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from .lu import LuInvariantSet
-from .states import SymmetricState
+from .states import SymmetricState, binomial_factors
 
 #: Dense vectors are capped at 2^14 amplitudes.
 MAX_DENSE_QUBITS = 14
@@ -22,6 +22,21 @@ MAX_DENSE_QUBITS = 14
 _NORM_TOL = 1e-10
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def _qubit_count(dim: int) -> int:
+    """n of a register of dim = 2^n amplitudes."""
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"dimension {dim} is not a power of two")
+    return dim.bit_length() - 1
+
+
+def _bit_weights(n: int) -> np.ndarray:
+    """Bit count of every basis index 0..2^n - 1, built by doubling."""
+    w = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        w = np.concatenate((w, w + 1))
+    return w
 
 
 def dicke_expand(state: SymmetricState) -> np.ndarray:
@@ -34,22 +49,47 @@ def dicke_expand(state: SymmetricState) -> np.ndarray:
     n = state.n
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense expansion capped at n = {MAX_DENSE_QUBITS}")
-    factors = np.array([state.amplitudes[w] / np.sqrt(comb(n, w)) for w in range(n + 1)])
-    weights = np.array([bin(x).count("1") for x in range(2**n)])
-    return factors[weights]
+    return (state.amplitudes / binomial_factors(n))[_bit_weights(n)]
+
+
+def time_reversal_dense(t: np.ndarray) -> np.ndarray:
+    """Time reversal on a dense qubit register: (i sigma_y)^(x n) after
+    conjugation in the computational basis.
+
+    The rule of :func:`transforms.time_reversal` with the bit count as the
+    weight: out_x = (-1)^weight(x) conj(t_{2^n - 1 - x}).
+    """
+    t = np.asarray(t, dtype=complex)
+    return (-1.0) ** _bit_weights(_qubit_count(t.size)) * np.conj(t[::-1])
+
+
+def y_theta(theta: float, u1, u2, u3) -> np.ndarray:
+    """(cos(theta) + sin(theta) T) applied to the product state u1 u2 u3.
+
+    Inputs are normalized single-qubit amplitude pairs; the output is the
+    renormalized dense 3-qubit vector.  At theta = pi/4 the output is a
+    maximally 3-tangled state for any inputs.
+    """
+    qubits = []
+    for u in (u1, u2, u3):
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (2,):
+            raise ValueError("single-qubit states must have two amplitudes")
+        if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+            raise ValueError("single-qubit states must be normalized")
+        qubits.append(u)
+    t = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
+    out = np.cos(theta) * t + np.sin(theta) * time_reversal_dense(t)
+    norm = np.linalg.norm(out)
+    if norm < 1e-12:
+        raise ValueError("output vanishes for these inputs (measure-zero coincidence)")
+    return out / norm
 
 
 def density_matrix(t: np.ndarray) -> np.ndarray:
     """Pure-state density matrix |t><t|."""
     t = np.asarray(t, dtype=complex)
     return np.outer(t, t.conj())
-
-
-def _qubit_count(dim: int) -> int:
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:

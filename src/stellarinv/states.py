@@ -160,9 +160,10 @@ def projective_differences(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarr
 class SymmetricState:
     """Symmetric n-qubit state given by n+1 Dicke amplitudes, m ascending.
 
-    Amplitudes must be finite.  They are normalized to unit Euclidean norm
-    at construction, after dividing by the largest real or imaginary part
-    when the plain norm overflows, and the backing array is frozen.
+    Amplitudes must be finite and not all zero.  They are normalized to unit
+    Euclidean norm at construction, after dividing by the largest real or
+    imaginary part when the plain norm overflows or falls below 1e-12, and
+    the backing array is frozen.
     """
 
     n: int
@@ -178,14 +179,15 @@ class SymmetricState:
             )
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(amps)
-        if not isfinite(norm):
+        if not isfinite(norm) or norm < _NORM_TOL:
             if not np.isfinite(amps).all():
                 raise ValueError("amplitudes must be finite")
-            # the squares overflow: bring the largest component to 1 first
-            amps = amps / max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+            # the squares overflow or underflow: bring the largest component to 1 first
+            scale = max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+            if scale == 0.0:
+                raise ValueError("amplitude vector is zero")
+            amps = amps / scale
             norm = np.linalg.norm(amps)
-        if norm < _NORM_TOL:
-            raise ValueError("amplitude vector is zero")
         amps = amps / norm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -287,6 +289,7 @@ def state_from_roots(points: Sequence[RiemannPoint]) -> SymmetricState:
 
     Expands the monic product over the finite points; each point at infinity
     lowers the polynomial degree by one instead of contributing a factor.
+    ``OverflowError`` when a coefficient of that product is beyond floats.
     """
     n = len(points)
     if n == 0:
@@ -294,4 +297,6 @@ def state_from_roots(points: Sequence[RiemannPoint]) -> SymmetricState:
     finite = np.array([p.value for p in points if not p.is_infinite], dtype=complex)
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[: finite.size + 1] = _monic_from_roots(finite)
+    if not np.isfinite(coeffs).all():
+        raise OverflowError(f"the polynomial of these {n} points overflows a float")
     return state_from_polynomial(MajoranaPolynomial(coeffs))

@@ -24,40 +24,13 @@ from .states import RiemannPoint, SymmetricState, binomial_factors, from_dicke
 _DOMAIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Collective spin matrices in the Dicke basis, m ascending."""
-
-    sp: np.ndarray
-    sm: np.ndarray
-    sz: np.ndarray
-
-    @property
-    def sx(self) -> np.ndarray:
-        return (self.sp + self.sm) / 2.0
-
-    @property
-    def sy(self) -> np.ndarray:
-        return (self.sp - self.sm) / 2.0j
-
-
-def spin_operators(n: int) -> SpinOperators:
-    """Raising, lowering and z spin matrices for the n-qubit symmetric sector."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    s = n / 2.0
-    dim = n + 1
-    m = -s + np.arange(dim)
-    sz = np.diag(m).astype(complex)
-    sp = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        mm = m[k]
-        sp[k + 1, k] = np.sqrt(s * (s + 1) - mm * (mm + 1))
-    return SpinOperators(sp=sp, sm=sp.conj().T, sz=sz)
-
-
-#: Spin matrices of one qubit, from which every one-qubit factor is built.
-_QUBIT = spin_operators(1)
+#: Spin matrices of one qubit in its Dicke basis (m = -1/2, +1/2), from which
+#: every one-qubit factor is built.
+_SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+_SM = _SP.conj().T
+_SZ = np.diag([-0.5, 0.5]).astype(complex)
+_SX = (_SP + _SM) / 2.0
+_SY = (_SP - _SM) / 2.0j
 
 #: S = (I + i sigma_x)/sqrt(2) diagonalizes the y rotation:
 #: Ry(beta) = S^dagger diag(e^{i beta/2}, e^{-i beta/2}) S.
@@ -172,7 +145,7 @@ def _exp_traceless(g: np.ndarray) -> np.ndarray:
 def _qubit_unitary(h: Sequence[float]) -> np.ndarray:
     """One-qubit unitary exp(i (hx sx + hy sy + hz sz)) in the Dicke basis."""
     hx, hy, hz = (float(c) for c in h)
-    return _exp_traceless(1j * (hx * _QUBIT.sx + hy * _QUBIT.sy + hz * _QUBIT.sz))
+    return _exp_traceless(1j * (hx * _SX + hy * _SY + hz * _SZ))
 
 
 def lu_unitary(h: Sequence[float], n: int) -> np.ndarray:
@@ -261,7 +234,7 @@ class MobiusTransform:
 def _ilo_factor(p: IloParameters) -> np.ndarray:
     """One-qubit factor exp(i h (S+/(b1+b2) + Sz - b1 b2 S-/(b1+b2)))."""
     b1, b2 = p.beta1, p.beta2
-    gen = _QUBIT.sp / (b1 + b2) + _QUBIT.sz - b1 * b2 * _QUBIT.sm / (b1 + b2)
+    gen = _SP / (b1 + b2) + _SZ - b1 * b2 * _SM / (b1 + b2)
     return _exp_traceless(1j * p.h * gen)
 
 
@@ -304,48 +277,9 @@ def time_reversal(state: SymmetricState) -> SymmetricState:
     """Antiunitary time reversal on Dicke amplitudes.
 
     Realizes conjugation followed by the symmetric-sector restriction of the
-    n-fold (i sigma_y) product: b_k = (-1)^k conj(a_{n-k}).  Stellar points
-    map to their antipodes, and applying it twice gives (-1)^n.
+    n-fold (i sigma_y) product: b_k = (-1)^k conj(a_{n-k}), the rule of
+    :func:`oracle.time_reversal_dense` with the Dicke index as the weight.
+    Stellar points map to their antipodes, and applying it twice gives (-1)^n.
     """
     n = state.n
-    a = state.amplitudes
-    b = np.array([(-1) ** k * np.conj(a[n - k]) for k in range(n + 1)])
-    return from_dicke(n, b)
-
-
-def time_reversal_dense(t: np.ndarray) -> np.ndarray:
-    """Time reversal on a dense qubit register: (i sigma_y)^(x n) after
-    conjugation in the computational basis."""
-    t = np.asarray(t, dtype=complex)
-    n = int(np.log2(t.size))
-    if t.size != 2**n:
-        raise ValueError("dense vector length must be a power of two")
-    out = np.empty_like(t)
-    full = (1 << n) - 1
-    for x in range(t.size):
-        w = bin(x).count("1")
-        out[full ^ x] = (-1) ** (n + w) * np.conj(t[x])
-    return out
-
-
-def y_theta(theta: float, u1, u2, u3) -> np.ndarray:
-    """(cos(theta) + sin(theta) T) applied to the product state u1 u2 u3.
-
-    Inputs are normalized single-qubit amplitude pairs; the output is the
-    renormalized dense 3-qubit vector.  At theta = pi/4 the output is a
-    maximally 3-tangled state for any inputs.
-    """
-    qubits = []
-    for u in (u1, u2, u3):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (2,):
-            raise ValueError("single-qubit states must have two amplitudes")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-            raise ValueError("single-qubit states must be normalized")
-        qubits.append(u)
-    t = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
-    out = np.cos(theta) * t + np.sin(theta) * time_reversal_dense(t)
-    norm = np.linalg.norm(out)
-    if norm < 1e-12:
-        raise ValueError("output vanishes for these inputs (measure-zero coincidence)")
-    return out / norm
+    return from_dicke(n, (-1.0) ** np.arange(n + 1) * np.conj(state.amplitudes[::-1]))

@@ -1,5 +1,8 @@
 """Shared sampling and comparison helpers for the test suite."""
+from dataclasses import dataclass
+
 import numpy as np
+from hypothesis import strategies as st
 
 from stellarinv import (
     RiemannPoint,
@@ -120,3 +123,68 @@ def point(z):
 
 def inf_point():
     return RiemannPoint.infinity()
+
+
+@dataclass(frozen=True)
+class SpinOperators:
+    """Collective spin matrices in the Dicke basis, m ascending."""
+
+    sp: np.ndarray
+    sm: np.ndarray
+    sz: np.ndarray
+
+    @property
+    def sx(self) -> np.ndarray:
+        return (self.sp + self.sm) / 2.0
+
+    @property
+    def sy(self) -> np.ndarray:
+        return (self.sp - self.sm) / 2.0j
+
+
+def spin_operators(n):
+    """Raising, lowering and z spin matrices for the n-qubit symmetric sector.
+
+    The reference the symmetric-power operators are checked against.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    s = n / 2.0
+    dim = n + 1
+    m = -s + np.arange(dim)
+    sz = np.diag(m).astype(complex)
+    sp = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim - 1):
+        mm = m[k]
+        sp[k + 1, k] = np.sqrt(s * (s + 1) - mm * (mm + 1))
+    return SpinOperators(sp=sp, sm=sp.conj().T, sz=sz)
+
+
+#: Complex entries whose parts include both signed zeros, so that a bit-level
+#: comparison sees the sign of every zero a rewrite produces.
+signed_zero_complex = st.builds(
+    complex, *[st.sampled_from([0.0, -0.0]) | st.floats(-10, 10)] * 2
+)
+
+
+def reference_bit_weights(n):
+    """Bit count of every basis index 0..2^n - 1, one index at a time."""
+    return np.array([bin(x).count("1") for x in range(2**n)])
+
+
+def reference_time_reversal(a):
+    """Dicke-basis time reversal b_k = (-1)^k conj(a_{n-k}), one entry at a time."""
+    n = len(a) - 1
+    return np.array([(-1) ** k * np.conj(a[n - k]) for k in range(n + 1)])
+
+
+def reference_time_reversal_dense(t):
+    """Dense-register time reversal, one basis index at a time."""
+    t = np.asarray(t, dtype=complex)
+    n = int(np.log2(t.size))
+    out = np.empty_like(t)
+    full = (1 << n) - 1
+    for x in range(t.size):
+        w = bin(x).count("1")
+        out[full ^ x] = (-1) ** (n + w) * np.conj(t[x])
+    return out

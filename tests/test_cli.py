@@ -186,15 +186,25 @@ class TestInvariants:
         assert json.loads(out)["slocc"]["degeneracy"] == [1] * 128
 
     def test_huge_amplitudes_match_unit_amplitudes(self, capsys, tmp_path):
-        # the plain norm overflows; the state is the same as for unit amplitudes
+        # the plain norm overflows or underflows; the state is the same as for
+        # unit amplitudes
         outs = []
-        for scale in (1e308, 1):
+        for scale in (1e308, 1e-13, 1e-200, 1):
             amps = [[scale, 0], [scale, 0], [0, 0]]
             path = write_state(tmp_path, "s.json", {"n": 2, "basis": "dicke", "amplitudes": amps})
             code, out, _ = run(capsys, "invariants", path)
             assert code == 0
             outs.append(out)
-        assert outs[0] == outs[1]
+        assert outs[1:] == outs[:-1]
+
+    @pytest.mark.parametrize("n, z", [(200, 1000), (700, 2)])
+    def test_majorana_polynomial_beyond_floats_exits_3(self, capsys, tmp_path, n, z):
+        doc = {"n": n, "basis": "majorana", "points": [[z, 0]] * n}
+        path = write_state(tmp_path, "m.json", doc)
+        for command in ("classify", "roots", "invariants"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (3, "")
+            assert err == f"error: the polynomial of these {n} points overflows a float\n"
 
     def test_majorana_file_leaves_numpy_polynomial_out(self, tmp_path):
         # about 5 ms of import that state_from_roots no longer needs
@@ -219,11 +229,13 @@ class TestInvariants:
 
     def test_oracle_check_unsupported_n(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "ghz4-family", "-o", str(tmp_path / "g4.json"))
-        code, _, err = run(
-            capsys, "invariants", str(tmp_path / "g4.json"), "--oracle-check"
-        )
-        assert code == 3
-        assert "n = 2 or 3" in err
+        code, _, _ = run(capsys, "generate", "ghz", "-n", "15", "-o", str(tmp_path / "g15.json"))
+        # n = 15 is past the dense cap: refused before any expansion
+        for name in ("g4.json", "g15.json"):
+            code, out, err = run(capsys, "invariants", str(tmp_path / name), "--oracle-check")
+            assert (code, out) == (3, "")
+            assert err.count("\n") == 1 and "n = 2 or 3" in err
+            assert "Traceback" not in err
 
     def test_degenerate_slocc_exits_4(self, capsys, tmp_path):
         # n = 4 with a repeated root: cross-ratio invariants are singular
@@ -505,3 +517,16 @@ class TestFuzz:
             assert re.fullmatch(r"\{\d+(,\d+)*\}( [\w-]+)?\n", out.getvalue())
         elif code == 0:
             json.loads(out.getvalue())
+
+
+def test_cli_diff_finds_no_difference_within_one_tree():
+    src = os.path.dirname(os.path.dirname(stellarinv.__file__))
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cli_diff.py"
+    out = subprocess.run(
+        [sys.executable, str(tool), src, src],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert re.fullmatch(r"0 of \d+ calls differ\n", out.stdout)

@@ -1,7 +1,20 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from helpers import point, random_qubit, random_state, roots_of
+from helpers import (
+    point,
+    random_qubit,
+    random_state,
+    reference_bit_weights,
+    reference_time_reversal_dense,
+    roots_of,
+    signed_zero_complex,
+)
 from stellarinv import (
     bloch_radius2,
     concurrence2,
@@ -15,6 +28,7 @@ from stellarinv import (
     partial_trace,
     state_from_roots,
     three_tangle,
+    time_reversal_dense,
     to_sphere,
     w_state,
     wootters_concurrence,
@@ -57,6 +71,35 @@ class TestDickeExpand:
         with pytest.raises(ValueError):
             dicke_expand(random_state(rng, 15))
 
+    @settings(max_examples=60, deadline=None)
+    @given(amps=st.lists(signed_zero_complex, min_size=2, max_size=11).filter(any))
+    def test_matches_reference_loop_bit_for_bit(self, amps):
+        state = from_dicke(len(amps) - 1, amps)
+        n, a = state.n, state.amplitudes
+        factors = np.array([a[w] / np.sqrt(comb(n, w)) for w in range(n + 1)])
+        assert dicke_expand(state).tobytes() == factors[reference_bit_weights(n)].tobytes()
+
+
+#: Dense registers of 1 to 2^10 amplitudes, many of them signed zeros.
+dense_registers = st.integers(0, 10).flatmap(
+    lambda n: hnp.arrays(complex, 2**n, elements=signed_zero_complex, fill=signed_zero_complex)
+)
+
+
+class TestTimeReversalDense:
+    @settings(max_examples=60, deadline=None)
+    @given(t=dense_registers)
+    def test_matches_reference_loop_bit_for_bit(self, t):
+        assert time_reversal_dense(t).tobytes() == reference_time_reversal_dense(t).tobytes()
+
+    def test_one_amplitude_register_is_conjugated(self):
+        np.testing.assert_array_equal(time_reversal_dense([1 + 2j]), [1 - 2j])
+
+    @pytest.mark.parametrize("size", [0, 3, 6])
+    def test_length_not_a_power_of_two_rejected(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            time_reversal_dense(np.ones(size))
+
 
 class TestPartialTrace:
     def test_product_state_factorizes(self):
@@ -84,6 +127,11 @@ class TestPartialTrace:
             np.testing.assert_allclose(
                 np.trace(partial_trace(rho, keep)).real, 1.0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("size", [0, 3, 6])
+    def test_dimension_not_a_power_of_two_rejected(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            partial_trace(np.zeros((size, size)), [1])
 
     def test_bad_index_sets(self):
         rho = density_matrix(dicke_expand(ghz_state(3)))

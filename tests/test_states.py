@@ -48,6 +48,11 @@ class TestFromDicke:
         st = from_dicke(2, [1e308, 1e308j, 0])
         np.testing.assert_array_equal(st.amplitudes, from_dicke(2, [1, 1j, 0]).amplitudes)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-200])
+    def test_tiny_norm_is_rescaled(self, scale):
+        st = from_dicke(2, [scale, scale * 1j, 0])
+        np.testing.assert_array_equal(st.amplitudes, from_dicke(2, [1, 1j, 0]).amplitudes)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -120,6 +125,11 @@ class TestStateFromRoots:
         assert np.array_equal(
             state_from_roots(points).amplitudes, polyfromroots_state(points).amplitudes
         )
+
+    @pytest.mark.parametrize("n, z", [(200, 1000), (700, 2)])
+    def test_product_beyond_floats_raises(self, n, z):
+        with pytest.raises(OverflowError, match=f"these {n} points overflows"):
+            state_from_roots([point(z)] * n)
 
     def test_cube_roots_give_ghz3(self):
         pts = [point(np.exp(1j * np.pi / 3)), point(-1), point(np.exp(-1j * np.pi / 3))]

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stellarinv
 from helpers import (
@@ -14,7 +16,11 @@ from helpers import (
     random_h,
     random_qubit,
     random_state,
+    reference_bit_weights,
+    reference_time_reversal,
     roots_of,
+    signed_zero_complex,
+    spin_operators,
 )
 from stellarinv import (
     DegenerateInputError,
@@ -35,7 +41,6 @@ from stellarinv import (
     mobius_from_ilo,
     oracle_lu_invariants3,
     rotation_from_h,
-    spin_operators,
     symmetrized_ik,
     three_tangle,
     time_reversal,
@@ -44,6 +49,7 @@ from stellarinv import (
     y_theta,
 )
 from stellarinv.states import binomial_factors
+from stellarinv import transforms
 from stellarinv.transforms import _power_tables, symmetric_power
 
 
@@ -79,6 +85,12 @@ class TestSpinOperators:
             ops = spin_operators(n)
             comm = ops.sz @ ops.sp - ops.sp @ ops.sz
             np.testing.assert_allclose(comm, ops.sp, atol=1e-12)
+
+    def test_one_qubit_constants_match_bit_for_bit(self):
+        one = spin_operators(1)
+        for name in ("sp", "sm", "sz", "sx", "sy"):
+            const = getattr(transforms, "_" + name.upper())
+            assert const.tobytes() == getattr(one, name).tobytes(), name
 
 
 class TestLuUnitary:
@@ -130,7 +142,7 @@ def dense_power(m, n):
     full = np.ones((1, 1), dtype=complex)
     for _ in range(n):
         full = np.kron(full, m)
-    weights = np.array([bin(x).count("1") for x in range(2**n)])
+    weights = reference_bit_weights(n)
     dicke = np.stack([(weights == k) / np.sqrt(comb(n, k)) for k in range(n + 1)], axis=1)
     return dicke.T @ full @ dicke
 
@@ -391,6 +403,13 @@ class TestTimeReversal:
         state = random_state(rng, 4)
         twice = time_reversal(time_reversal(state))
         np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(amps=st.lists(signed_zero_complex, min_size=2, max_size=65).filter(any))
+    def test_matches_reference_loop_bit_for_bit(self, amps):
+        state = stellarinv.from_dicke(len(amps) - 1, amps)
+        want = stellarinv.from_dicke(state.n, reference_time_reversal(state.amplitudes))
+        assert time_reversal(state).amplitudes.tobytes() == want.amplitudes.tobytes()
 
     def test_matches_dense_action(self):
         rng = np.random.default_rng(64)
