@@ -202,19 +202,13 @@ def _slocc_section(summary):
 
 
 def _oracle_section(state, g):
-    n = state.n
-    if n not in (2, 3):
-        raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {n}")
     dense = dicke_expand(state)
-    if n == 2:
+    if state.n == 2:
         v12 = float(g[0, 1])
         rho1 = partial_trace(density_matrix(dense), [1])
         radius_sq = float(2.0 * np.trace(rho1 @ rho1).real - 1.0)
         woot = wootters_concurrence(dense)
-        dev = max(
-            abs(woot - concurrence2(v12)),
-            abs(radius_sq - bloch_radius2(v12)),
-        )
+        dev = max(abs(woot - concurrence2(v12)), abs(radius_sq - bloch_radius2(v12)))
         return {
             "concurrence": _sig15(woot),
             "bloch_radius_sq": _sig15(radius_sq),
@@ -229,6 +223,8 @@ def _oracle_section(state, g):
 
 def cmd_invariants(args) -> int:
     state, file_points, _ = load_document(args.file)
+    if args.oracle_check and state.n not in (2, 3):  # before any stage: exit 3 beats exit 4
+        raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {state.n}")
     pts = file_points or find_roots(majorana_polynomial(state))
     vecs = [to_sphere(p) for p in pts]
     g = gram(vecs)
@@ -250,7 +246,7 @@ def cmd_invariants(args) -> int:
     report = {
         "n": state.n,
         "roots": [_point_json(p) for p in sorted(pts, key=point_key)],
-        "points": [[_sig15(c) for c in (v.x, v.y, v.z)] for v in vecs],
+        "points": [[_sig15(c) for c in v] for v in vecs],
         "gram": [[_sig15(c) for c in row] for row in g],
         **sections,
     }
@@ -334,7 +330,7 @@ def cmd_roots(args) -> int:
     report = {
         "n": state.n,
         "roots": [_point_json(p) for p in sorted(pts, key=point_key)],
-        "points": [[_sig15(c) for c in (v.x, v.y, v.z)] for v in map(to_sphere, pts)],
+        "points": [[_sig15(c) for c in to_sphere(p)] for p in pts],
         "clusters": [
             {"root": _point_json(rep), "multiplicity": mult} for rep, mult in clusters
         ],

@@ -34,7 +34,7 @@ class LuInvariantSet(NamedTuple):
 
 def gram(points: Sequence[SphereVector]) -> np.ndarray:
     """Matrix of pairwise inner products v_ij = v_i . v_j, unit diagonal."""
-    vecs = np.array([(p.x, p.y, p.z) for p in points]).reshape(-1, 3)
+    vecs = np.array(points, dtype=float).reshape(-1, 3)
     norms = np.linalg.norm(vecs, axis=1)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise ValueError("gram requires unit vectors")

@@ -167,16 +167,17 @@ def cluster(
     representative being the normalized mean of the member sphere vectors.
     Ordered by descending multiplicity, then the representative's plane
     coordinates."""
-    out = []
-    for members in single_linkage(points, tol):
-        vecs = np.array([to_sphere(points[i]).as_array() for i in members])
-        mean = vecs.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm < 1e-9:
-            # pathologically spread cluster; fall back to the first member
-            rep = points[members[0]]
-        else:
-            rep = from_sphere(SphereVector.from_array(mean / norm))
-        out.append((rep, len(members)))
-
-    return sorted(out, key=lambda item: (-item[1], *point_key(item[0])))
+    groups = single_linkage(points, tol)
+    labels = np.empty(len(points), int)
+    for g, members in enumerate(groups):
+        labels[members] = g
+    means = np.zeros((len(groups), 3))
+    np.add.at(means, labels, np.array([to_sphere(p) for p in points]).reshape(-1, 3))
+    means /= np.bincount(labels)[:, None]
+    # np.linalg.norm's dot product, row by row
+    norms = np.sqrt(means[:, None] @ means[..., None]).ravel()
+    reps = [  # a pathologically spread group keeps its first member
+        points[members[0]] if norm < 1e-9 else from_sphere(SphereVector(*(mean / norm)))
+        for members, mean, norm in zip(groups, means, norms.tolist())
+    ]
+    return sorted(zip(reps, map(len, groups)), key=lambda item: (-item[1], *point_key(item[0])))

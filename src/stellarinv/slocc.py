@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DivergentSumError
 from .roots import DEFAULT_CLUSTER_TOL, point_key, single_linkage
-from .states import RiemannPoint, chordal_distance, projective_differences, projective_pairs
+from .states import RiemannPoint, projective_differences, projective_pairs
 
 #: Chordal threshold below which two points count as the same root when
 #: deciding whether a cross ratio is defined.
@@ -126,15 +126,21 @@ def lambda_vector(
         pts = [pts[i] for i in ordering]
     if len(pts) < 4:
         raise ValueError("need at least four roots")
-    # cross_ratio(z, a2, a1, a3) with the products and coincidence tests of the
-    # symmetrized_ik terms of (a3, a2, a1): a triple accepted here has terms there
     pairs = projective_pairs(pts)
     det, chordal = projective_differences(pairs, pairs[:3])
     if (chordal[[1, 2, 2], [0, 0, 1]] < COINCIDENCE_TOL).any():
         raise ValueError("first three roots must be pairwise distinct")
-    num = det[3:, 0] * det[1, 2]
-    den = det[3:, 2] * det[1, 0]
-    return [RiemannPoint(x, y) for x, y in zip(num.tolist(), den.tolist())]
+    return _lambdas(det, (0, 1, 2), range(3))
+
+
+def _lambdas(det: np.ndarray, triple, cols) -> list[RiemannPoint]:
+    """cross_ratio(z, a2, a1, a3) of each root z off the triple, formed as the
+    symmetrized_ik terms of (a3, a2, a1) are, from ``det`` against ``cols``."""
+    a1, a2, a3 = triple
+    c1, c3 = cols.index(a1), cols.index(a3)
+    num, den = det[:, c1] * det[a2, c3], det[:, c3] * det[a2, c1]
+    pairs = zip(num.tolist(), den.tolist())
+    return [RiemannPoint(x, y) for i, (x, y) in enumerate(pairs) if i not in triple]
 
 
 class PowerSumResult(NamedTuple):
@@ -164,23 +170,21 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
     adds one rounding.  Raises ``ValueError`` when no ordering has a
     pairwise-distinct leading triple, since the sum is then empty.
     """
-    sums, skipped, total = _power_sums(roots, (k,))
+    if k < 1:
+        raise ValueError("power k must be a positive integer")
+    pairs = projective_pairs(map(as_point, roots))
+    if len(pairs) < 4:
+        raise ValueError("need at least four roots")
+    det, chordal = projective_differences(pairs, pairs)
+    sums, skipped, total = _power_sums(det, chordal < COINCIDENCE_TOL, (k,))
     return PowerSumResult(sums[k], skipped, total)
 
 
 def _power_sums(
-    roots: Sequence[RiemannPoint], powers: Sequence[int]
+    det: np.ndarray, same: np.ndarray, powers: Sequence[int]
 ) -> tuple[dict[int, complex], int, int]:
     """Values by power, skipped and total of symmetrized_ik from one 4-tuple pass."""
-    if min(powers) < 1:
-        raise ValueError("power k must be a positive integer")
-    pairs = projective_pairs(map(as_point, roots))
-    n = len(pairs)
-    if n < 4:
-        raise ValueError("need at least four roots")
-    det, chordal = projective_differences(pairs, pairs)
-    same = chordal < COINCIDENCE_TOL
-
+    n = len(det)
     # leading triples (i1, i2, i3) in chunks, each against every i4; the
     # mask holds on the diagonal, so a kept triple has distinct indices
     i4 = np.arange(n)[:, None]
@@ -261,36 +265,46 @@ def slocc_summary(
     roots: Sequence[RiemannPoint],
     tol: float = DEFAULT_CLUSTER_TOL,
 ) -> SloccInvariantSet:
-    """Compute every SLOCC invariant applicable to the given root multiset."""
+    """Compute every SLOCC invariant applicable to the given root multiset.
+
+    The leading triple, lambda and the power sums read one projective-difference
+    array and its coincidence mask: n columns with the power sums, else three.
+    """
     pts = [as_point(r) for r in roots]
     n = len(pts)
     signature = degeneracy_class(pts, tol)
 
-    lam_vec = None
-    if n >= 4:
-        triple = _leading_triple(pts)
-        if triple is not None:
-            rest = [i for i in range(n) if i not in triple]
-            try:
-                lam_vec = lambda_vector(pts, ordering=[*triple, *rest])
-            except ValueError:  # the array re-check rejects a near-threshold triple
-                pass
-
-    kj = canon = None
-    if n == 4 and lam_vec is not None:
-        try:
-            kj = klein_j(lam_vec[0])
-            canon = canonical_representative(lam_vec[0])
-        except DegenerateInputError:
-            pass
-
+    lam_vec = kj = canon = None
     sums: dict[int, complex] = {}
     skipped, divergent = 0, False
-    if 4 <= n <= MAX_POWER_SUM_N and lam_vec is not None:
-        try:
-            sums, skipped, _ = _power_sums(pts, SUMMARY_POWERS)
-        except DivergentSumError:
-            divergent = True
+    if n >= 4:
+        pairs = projective_pairs(pts)
+        cols = list(range(n if n <= MAX_POWER_SUM_N else 3))
+        det, chordal = projective_differences(pairs, pairs[cols])
+        same = chordal < COINCIDENCE_TOL
+        # greedy: root 0, then each first root distinct from all before
+        triple = [0]
+        taken = same[:, 0]
+        while len(triple) < 3 and not taken.all():
+            triple.append(int(taken.argmin()))
+            if triple[-1] not in cols:
+                cols = triple[:]
+                det, chordal = projective_differences(pairs, pairs[cols])
+                same = chordal < COINCIDENCE_TOL
+            taken = taken | same[:, cols.index(triple[-1])]
+        if len(triple) == 3:
+            lam_vec = _lambdas(det, triple, cols)
+            if n == 4:
+                try:
+                    kj = klein_j(lam_vec[0])
+                    canon = canonical_representative(lam_vec[0])
+                except DegenerateInputError:
+                    pass
+            if n <= MAX_POWER_SUM_N:
+                try:
+                    sums, skipped, _ = _power_sums(det, same, SUMMARY_POWERS)
+                except DivergentSumError:
+                    divergent = True
     return SloccInvariantSet(
         degeneracy=signature,
         lambda_vector=lam_vec,
@@ -301,18 +315,3 @@ def slocc_summary(
         divergent=divergent,
     )
 
-
-def _leading_triple(pts: Sequence[RiemannPoint]) -> tuple[int, int, int] | None:
-    """Indices of the first three pairwise-distinct roots in a greedy scan.
-
-    Scalar, as it usually stops after three comparisons (a few microseconds
-    against tens for the array differences).  Its rounding can differ from
-    the array's near the threshold, so lambda_vector re-checks.
-    """
-    chosen: list[int] = []
-    for i, p in enumerate(pts):
-        if all(chordal_distance(p, pts[j]) >= COINCIDENCE_TOL for j in chosen):
-            chosen.append(i)
-            if len(chosen) == 3:
-                return tuple(chosen)
-    return None

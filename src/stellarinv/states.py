@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isfinite
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,24 +86,12 @@ class RiemannPoint:
         return f"RiemannPoint({self.value!r})"
 
 
-@dataclass(frozen=True)
-class SphereVector:
+class SphereVector(NamedTuple):
     """Unit vector in R^3, the stellar image of one polynomial root."""
 
     x: float
     y: float
     z: float
-
-    def dot(self, other: "SphereVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @classmethod
-    def from_array(cls, v) -> "SphereVector":
-        x, y, z = (float(c) for c in v)
-        return cls(x, y, z)
 
 
 def to_sphere(p: RiemannPoint) -> SphereVector:
@@ -133,11 +121,10 @@ def from_sphere(v: SphereVector) -> RiemannPoint:
 
 
 def chordal_distance(p: RiemannPoint, q: RiemannPoint) -> float:
-    """Euclidean distance of the sphere images; ranges over [0, 2]."""
-    cross = p.a * q.b - q.a * p.b
-    np2 = abs(p.a) ** 2 + abs(p.b) ** 2
-    nq2 = abs(q.a) ** 2 + abs(q.b) ** 2
-    return 2.0 * abs(cross) / np.sqrt(np2 * nq2)
+    """Euclidean distance of the sphere images, in [0, 2], as
+    :func:`projective_differences` computes it."""
+    pairs = projective_pairs((p, q))
+    return float(projective_differences(pairs, pairs)[1][0, 1])
 
 
 def projective_pairs(points: Iterable[RiemannPoint]) -> np.ndarray:
@@ -148,7 +135,7 @@ def projective_pairs(points: Iterable[RiemannPoint]) -> np.ndarray:
 def projective_differences(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projective differences det[x, y] = a_x b_y - a_y b_x of every row pair x
     and column pair y, and their chordal distances 2|det| / sqrt((|a_x|^2 +
-    |b_x|^2)(|a_y|^2 + |b_y|^2)), :func:`chordal_distance` over the grid."""
+    |b_x|^2)(|a_y|^2 + |b_y|^2))."""
     ra, rb = rows.T
     ca, cb = cols.T
     det = np.multiply.outer(ra, cb) - np.multiply.outer(rb, ca)

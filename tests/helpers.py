@@ -36,7 +36,7 @@ def random_points(rng, n, min_sep=1e-3):
             for j in range(i + 1, n)
         )
         if ok:
-            return [from_sphere(SphereVector.from_array(v)) for v in vecs]
+            return [from_sphere(SphereVector(*v)) for v in vecs]
 
 
 def random_qubit(rng):

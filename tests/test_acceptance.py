@@ -102,7 +102,7 @@ def test_criterion_02_two_qubit_formulas():
     for _ in range(100):
         state = random_state(rng, 2)
         p, q = roots_of(state)
-        v12 = to_sphere(p).dot(to_sphere(q))
+        v12 = np.dot(to_sphere(p), to_sphere(q))
         dense = dicke_expand(state)
         assert abs(concurrence2(v12) - wootters_concurrence(dense)) <= 1e-9
         rho1 = partial_trace(density_matrix(dense), [1])
@@ -122,7 +122,7 @@ def test_criterion_03_lu_invariance():
         assert max(abs(a - b) for a, b in zip(inv0, inv1)) < 1e-9
         rot = rotation_from_h(h)
         want = [
-            from_sphere(SphereVector.from_array(rot @ to_sphere(p).as_array()))
+            from_sphere(SphereVector(*(rot @ np.array(to_sphere(p)))))
             for p in roots_of(state)
         ]
         assert multiset_distance(roots_of(moved), want) < 1e-7
@@ -289,5 +289,5 @@ def test_criterion_10_property_battery():
     for _ in range(50):
         pts = [to_sphere(p) for p in random_points(rng, 4, min_sep=1e-2)]
         rot = rotation_from_h(rng.normal(size=3))
-        moved = [SphereVector.from_array(rot @ p.as_array()) for p in pts]
+        moved = [SphereVector(*(rot @ np.array(p))) for p in pts]
         assert np.abs(gram(moved) - gram(pts)).max() <= 1e-10

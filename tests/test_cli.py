@@ -237,6 +237,27 @@ class TestInvariants:
             assert err.count("\n") == 1 and "n = 2 or 3" in err
             assert "Traceback" not in err
 
+    def test_oracle_check_refused_before_root_finding(self, capsys, tmp_path, monkeypatch):
+        def no_roots(*args, **kwargs):
+            raise AssertionError("find_roots ran before the refusal")
+
+        monkeypatch.setattr("stellarinv.cli.find_roots", no_roots)
+        run(capsys, "generate", "ghz", "-n", "16", "-o", str(tmp_path / "g16.json"))
+        code, out, err = run(capsys, "invariants", str(tmp_path / "g16.json"), "--oracle-check")
+        assert (code, out) == (3, "")
+        assert "n = 2 or 3" in err
+
+    def test_oracle_check_refusal_beats_degenerate_slocc(self, capsys, tmp_path):
+        # exit 4 on its own (test_degenerate_slocc_exits_4), exit 3 with --oracle-check
+        path = write_state(
+            tmp_path,
+            "w4.json",
+            {"n": 4, "basis": "majorana", "points": [[0, 0], [0, 0], [1, 0], "inf"]},
+        )
+        code, out, err = run(capsys, "invariants", path, "--slocc", "--oracle-check")
+        assert (code, out) == (3, "")
+        assert "n = 2 or 3" in err
+
     def test_degenerate_slocc_exits_4(self, capsys, tmp_path):
         # n = 4 with a repeated root: cross-ratio invariants are singular
         path = write_state(

@@ -55,7 +55,7 @@ def unit(vecs):
 
 
 def gram_of(vecs):
-    return gram([SphereVector.from_array(v) for v in vecs])
+    return gram([SphereVector(*v) for v in vecs])
 
 
 def expand(g, number):
@@ -99,7 +99,7 @@ class TestGram:
             n = int(rng.integers(2, 7))
             pts = [to_sphere(p) for p in random_points(rng, n, min_sep=1e-2)]
             rot = rotation_from_h(rng.normal(size=3))
-            rotated = [SphereVector.from_array(rot @ p.as_array()) for p in pts]
+            rotated = [SphereVector(*(rot @ np.array(p))) for p in pts]
             np.testing.assert_allclose(gram(rotated), gram(pts), atol=1e-10)
 
     def test_inversion_invariance(self):

@@ -230,7 +230,7 @@ class TestWoottersConcurrence:
         for _ in range(50):
             state = random_state(rng, 2)
             pts = roots_of(state)
-            v12 = to_sphere(pts[0]).dot(to_sphere(pts[1]))
+            v12 = np.dot(to_sphere(pts[0]), to_sphere(pts[1]))
             dense = dicke_expand(state)
             np.testing.assert_allclose(
                 wootters_concurrence(dense), concurrence2(v12), atol=1e-9

@@ -178,7 +178,7 @@ def planted_clusters(draw):
             if at_infinity and k == 0:
                 offset = np.zeros(3)
             v = centre + offset
-            pts.append(from_sphere(SphereVector.from_array(v / np.linalg.norm(v))))
+            pts.append(from_sphere(SphereVector(*(v / np.linalg.norm(v)))))
     return [pts[i] for i in rng.permutation(len(pts))], tol
 
 

@@ -23,8 +23,10 @@ from stellarinv import (
     slocc_summary,
     symmetrized_ik,
 )
-from stellarinv.states import majorana_polynomial
+from stellarinv import slocc
 from stellarinv.roots import find_roots
+from stellarinv.slocc import COINCIDENCE_TOL, MAX_POWER_SUM_N
+from stellarinv.states import majorana_polynomial, projective_differences, projective_pairs
 
 OMEGA = np.exp(1j * np.pi / 3)  # equianharmonic cross ratio, root of l^2 - l + 1
 
@@ -394,6 +396,73 @@ class TestSummaryMatchesPublicFunctions:
             assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in want]
             compared += 1
         assert 0 < compared
+
+
+def widened_cases():
+    """Root sets at n = 9..20, past the power sums, that make the summary's
+    scan leave its first three columns: the first three or five roots
+    coincide, or the 1e-12 chain leads."""
+    rng = np.random.default_rng(73)
+    for n in (9, 12, 20):
+        plain = random_points(rng, n, min_sep=0.05)
+        for m in (3, 5):
+            yield [plain[0]] * m + plain[m:]
+            yield [plain[-1]] * m + plain[: n - m]
+        yield [point(z) for z in CHAIN] + plain[4:]
+        yield [point(z) for z in CHAIN[:3]] * 2 + plain[6:]
+        yield [inf_point()] * 4 + plain[4:]
+
+
+def greedy_ordering(pts):
+    """The first three pairwise-distinct roots of a scalar scan, then the rest."""
+    triple = []
+    for i, p in enumerate(pts):
+        if all(chordal_distance(p, pts[j]) >= COINCIDENCE_TOL for j in triple):
+            triple.append(i)
+            if len(triple) == 3:
+                return triple + [i for i in range(len(pts)) if i not in triple]
+    return None
+
+
+class TestLeadingTriple:
+    def test_lambda_is_lambda_vector_under_the_greedy_ordering(self):
+        widened = 0
+        for pts in itertools.chain(summary_cases(), widened_cases()):
+            ordering = greedy_ordering(pts)
+            want = lambda_vector(pts, ordering=ordering)
+            got = slocc_summary(pts).lambda_vector
+            assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in want]
+            widened += ordering[:3] != [0, 1, 2] and len(pts) > MAX_POWER_SUM_N
+        assert widened >= 15
+
+    def test_no_lambda_below_three_distinct_roots(self):
+        # 4e-13 is within the threshold of 0: two distinct roots, ten in all
+        pts = [point(z) for z in CHAIN[:2]] * 3 + [inf_point()] * 4
+        assert greedy_ordering(pts) is None
+        assert slocc_summary(pts).lambda_vector is None
+
+    def test_no_square_array_past_the_power_sums(self, monkeypatch):
+        widths = []
+
+        def spy(rows, cols):
+            widths.append((len(rows), len(cols)))
+            return projective_differences(rows, cols)
+
+        monkeypatch.setattr(slocc, "projective_differences", spy)
+        for pts in widened_cases():
+            widths.clear()
+            summary = slocc_summary(pts)
+            assert summary.lambda_vector is not None and summary.symmetrized == {}
+            assert 1 < len(widths) <= 3
+            assert all(rows == len(pts) and cols <= 3 for rows, cols in widths)
+
+    def test_chordal_distance_is_the_array_entry(self):
+        rng = np.random.default_rng(74)
+        pts = random_points(rng, 12) + [inf_point(), point(0), point(4e-13), point(1e300)]
+        pts += [point(p.value + 5e-13) for p in pts[:4]]
+        _, chordal = projective_differences(projective_pairs(pts), projective_pairs(pts))
+        for (i, p), (j, q) in itertools.product(enumerate(pts), repeat=2):
+            assert chordal_distance(p, q) == chordal[i, j]
 
 
 class TestDegeneracyClass:

@@ -260,7 +260,7 @@ class TestLuRotationCorrespondence:
                 moved = apply_operator(lu_unitary(h, n), state)
                 rot = rotation_from_h(h)
                 want = [
-                    from_sphere(SphereVector.from_array(rot @ to_sphere(p).as_array()))
+                    from_sphere(SphereVector(*(rot @ np.array(to_sphere(p)))))
                     for p in roots_of(state)
                 ]
                 assert_multisets_close(roots_of(moved), want, 1e-7)

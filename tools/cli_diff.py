@@ -30,12 +30,19 @@ def _majorana(points: list) -> dict:
     return {"n": len(points), "basis": "majorana", "points": points}
 
 
+#: Roots whose chordal distances from 0 fall just below, at and at twice the
+#: 1e-12 coincidence threshold, where the leading triple of a summary is decided.
+THRESHOLD = [[0, 0], [4.99999999999999e-13, 0], [5e-13, 0], [1e-12, 0]]
+
 #: State files written next to copies of the golden inputs.
 FILES = {
     "ghz3.json": _ghz(3),
     "ghz8.json": _ghz(8),
     "ghz16.json": _ghz(16),
     "chain.json": _majorana([[0, 0], [4e-13, 0], [8e-13, 0], [1, 0]]),
+    # with the power sums and, at n = 9, without them
+    "threshold.json": _majorana(THRESHOLD + [[1, 0], "inf"]),
+    "threshold9.json": _majorana(THRESHOLD + [[1, 0], [-1, 0], [0, 1], [0, -1], "inf"]),
     "zeros_and_infinities.json": _majorana([[0, 0], [0, 0], [0, 0], "inf", "inf", "inf"]),
     "double_zero.json": _majorana([[0, 0], [0, 0], [1, 0], [2, 0]]),
     # expands to coefficients beyond the float range
