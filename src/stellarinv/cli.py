@@ -30,8 +30,8 @@ from .oracle import (
     partial_trace,
     wootters_concurrence,
 )
-from .roots import DEFAULT_CLUSTER_TOL, cluster, find_roots, point_key
-from .slocc import degeneracy_class, slocc_summary
+from .roots import DEFAULT_CLUSTER_TOL, cluster, degeneracy_class, find_roots, point_key
+from .slocc import slocc_summary
 from .states import (
     MAX_QUBITS,
     RiemannPoint,

@@ -67,8 +67,9 @@ def y_theta(theta: float, u1, u2, u3) -> np.ndarray:
     """(cos(theta) + sin(theta) T) applied to the product state u1 u2 u3.
 
     Inputs are normalized single-qubit amplitude pairs; the output is the
-    renormalized dense 3-qubit vector.  At theta = pi/4 the output is a
-    maximally 3-tangled state for any inputs.
+    renormalized dense 3-qubit vector, which never vanishes: each qubit is
+    orthogonal to its time reverse, so the two terms are orthogonal.  At
+    theta = pi/4 the output is a maximally 3-tangled state for any inputs.
     """
     qubits = []
     for u in (u1, u2, u3):
@@ -80,10 +81,7 @@ def y_theta(theta: float, u1, u2, u3) -> np.ndarray:
         qubits.append(u)
     t = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
     out = np.cos(theta) * t + np.sin(theta) * time_reversal_dense(t)
-    norm = np.linalg.norm(out)
-    if norm < 1e-12:
-        raise ValueError("output vanishes for these inputs (measure-zero coincidence)")
-    return out / norm
+    return out / np.linalg.norm(out)
 
 
 def density_matrix(t: np.ndarray) -> np.ndarray:

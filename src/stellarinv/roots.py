@@ -129,10 +129,10 @@ def point_key(p: RiemannPoint) -> tuple[int, float, float]:
     return (0, z.real, z.imag)
 
 
-def single_linkage(points: Sequence[RiemannPoint], tol: float) -> list[list[int]]:
-    """Member indices of the single-linkage groups at chordal distance <= ``tol``
-    (transitive: a chain of such steps links a group), ordered by smallest
-    member, members ascending.  Distances come in row blocks of at most
+def single_linkage(points: Sequence[RiemannPoint], tol: float) -> np.ndarray:
+    """Group label of each point under single linkage at chordal distance <= ``tol``
+    (transitive: a chain of such steps links a group), groups numbered in order
+    of their smallest member.  Distances come in row blocks of at most
     :data:`_LINK_CHUNK`; union-find visits only the linked pairs, usually none.
     """
     if tol <= 0:
@@ -151,13 +151,20 @@ def single_linkage(points: Sequence[RiemannPoint], tol: float) -> list[list[int]
     for start in range(0, m, step):
         # columns from `start` on, so the block's diagonal is the main one
         _, dist = projective_differences(pairs[start : start + step], pairs[start:])
-        for i, j in zip(*np.nonzero(np.triu(dist <= tol, 1))):
-            parent[find(start + int(i))] = find(start + int(j))
+        rows, cols = np.nonzero(dist <= tol)
+        upper = rows < cols
+        for i, j in zip((rows[upper] + start).tolist(), (cols[upper] + start).tolist()):
+            parent[find(i)] = find(j)
 
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    label: dict[int, int] = {}
+    return np.array([label.setdefault(find(i), len(label)) for i in range(m)], dtype=int)
+
+
+def degeneracy_class(
+    roots: Sequence[RiemannPoint], tol: float = DEFAULT_CLUSTER_TOL
+) -> tuple[int, ...]:
+    """Descending single-linkage group sizes, the coarse SLOCC class."""
+    return tuple(sorted(np.bincount(single_linkage(roots, tol)).tolist(), reverse=True))
 
 
 def cluster(
@@ -167,17 +174,16 @@ def cluster(
     representative being the normalized mean of the member sphere vectors.
     Ordered by descending multiplicity, then the representative's plane
     coordinates."""
-    groups = single_linkage(points, tol)
-    labels = np.empty(len(points), int)
-    for g, members in enumerate(groups):
-        labels[members] = g
-    means = np.zeros((len(groups), 3))
+    labels = single_linkage(points, tol)
+    counts = np.bincount(labels)
+    means = np.zeros((len(counts), 3))
     np.add.at(means, labels, np.array([to_sphere(p) for p in points]).reshape(-1, 3))
-    means /= np.bincount(labels)[:, None]
+    means /= counts[:, None]
     # np.linalg.norm's dot product, row by row
     norms = np.sqrt(means[:, None] @ means[..., None]).ravel()
     reps = [  # a pathologically spread group keeps its first member
-        points[members[0]] if norm < 1e-9 else from_sphere(SphereVector(*(mean / norm)))
-        for members, mean, norm in zip(groups, means, norms.tolist())
+        points[int(np.argmax(labels == g))] if norm < 1e-9
+        else from_sphere(SphereVector(*(mean / norm)))
+        for g, (mean, norm) in enumerate(zip(means, norms.tolist()))
     ]
-    return sorted(zip(reps, map(len, groups)), key=lambda item: (-item[1], *point_key(item[0])))
+    return sorted(zip(reps, counts.tolist()), key=lambda item: (-item[1], *point_key(item[0])))

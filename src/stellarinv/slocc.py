@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DivergentSumError
-from .roots import DEFAULT_CLUSTER_TOL, point_key, single_linkage
+from .roots import DEFAULT_CLUSTER_TOL, degeneracy_class, point_key
 from .states import RiemannPoint, projective_differences, projective_pairs
 
 #: Chordal threshold below which two points count as the same root when
@@ -217,13 +217,6 @@ def _power_sums(
     total = math.factorial(n)
     sums = {k: complex(math.fsum(re), math.fsum(im)) * weight for k, (re, im) in parts.items()}
     return sums, total - kept * weight, total
-
-
-def degeneracy_class(
-    roots: Sequence[RiemannPoint], tol: float = DEFAULT_CLUSTER_TOL
-) -> tuple[int, ...]:
-    """Descending single-linkage group sizes, the coarse SLOCC class."""
-    return tuple(sorted(map(len, single_linkage(roots, tol)), reverse=True))
 
 
 def canonical_representative(lam) -> RiemannPoint:

@@ -216,12 +216,6 @@ class MajoranaPolynomial:
     def infinite_root_count(self) -> int:
         return self.n - self.degree
 
-    def __call__(self, alpha: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in self.coefficients[::-1]:
-            acc = acc * alpha + c
-        return acc
-
 
 def from_dicke(n: int, amplitudes) -> SymmetricState:
     """Build a normalized symmetric state from n+1 Dicke amplitudes."""

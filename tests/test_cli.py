@@ -75,6 +75,16 @@ class TestGenerate:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["w", "-n", "1"], "n >= 2"), (["dicke", "-n", "3", "--weight", "4"], "0..3")],
+        ids=["w1", "dicke-weight"],
+    )
+    def test_family_outside_its_domain_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "generate", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_unknown_family_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "generate", "bell")
@@ -145,6 +155,16 @@ class TestInvariants:
         path.write_text("not json at all {")
         code, _, _ = run(capsys, "invariants", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [([1, 2], "JSON object"), ({"n": 0, "basis": "majorana", "points": []}, "empty")],
+        ids=["json-list", "no-points"],
+    )
+    def test_malformed_state_file_exits_2(self, capsys, tmp_path, doc, message):
+        code, out, err = run(capsys, "invariants", write_state(tmp_path, "bad.json", doc))
+        assert (code, out) == (2, "")
+        assert message in err
 
     @pytest.mark.parametrize(
         "text",

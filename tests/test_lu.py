@@ -156,6 +156,11 @@ class TestSymmetricCoefficients:
             )
 
 
+    def test_non_3x3_matrix_rejected(self):
+        with pytest.raises(ValueError, match="3x3"):
+            symmetric_coefficients(np.eye(2))
+
+
 class TestThreeQubitInvariants:
     def test_ghz_row(self):
         inv = lu_invariants3(gram(equatorial_triangle()))
@@ -229,6 +234,11 @@ class TestSluiCoefficients:
             shuffled = [pts[i] for i in perm]
             np.testing.assert_allclose(slui_coefficients(gram(shuffled)), base, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            slui_coefficients(np.ones(shape))
+
     def test_one_point_is_the_constant_one(self):
         got = slui_coefficients(np.ones((1, 1)))
         assert got.dtype == float and got.tolist() == [1.0]
@@ -277,6 +287,13 @@ class TestSluiCoefficients:
         g = gram_of(np.stack([np.cos(t), np.sin(t), np.zeros(128)], axis=1))
         with pytest.raises(OverflowError, match="n = 128"):
             slui_coefficients(g)
+
+    def test_overflow_inside_the_interpolation_raises(self):
+        # the early bound stays below 2**1025 (about 2**546), the product does not
+        v = np.full((48, 48), -0.99)
+        np.fill_diagonal(v, 1.0)
+        with pytest.raises(OverflowError, match="n = 48"):
+            slui_coefficients(v)
 
     def test_overflow_at_the_qubit_ceiling_raises_at_once(self):
         # the interpolation would take tens of seconds to overflow at n = 1029

@@ -189,6 +189,10 @@ class TestOracleInvariants:
         with pytest.raises(ValueError):
             oracle_lu_invariants3(np.ones(8))
 
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="dense 3-qubit"):
+            oracle_lu_invariants3(np.ones(4) / 2)
+
     def test_agreement_with_stellar_route(self):
         rng = np.random.default_rng(78)
         for _ in range(100):

@@ -200,6 +200,8 @@ class TestI2Closed:
     def test_pole(self):
         with pytest.raises(DegenerateInputError):
             i2_closed_n4(0.0)
+        with pytest.raises(DegenerateInputError, match="infinity"):
+            i2_closed_n4(inf_point())
 
     def test_klein_identity(self):
         rng = np.random.default_rng(45)
@@ -240,6 +242,15 @@ class TestLambdaVector:
         pts = [point(3), point(0), point(1), inf_point()]
         got = lambda_vector(pts, ordering=[1, 2, 3, 0])
         assert abs(got[0].value - 3.0) <= 1e-14
+
+    @pytest.mark.parametrize("ordering", [[0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]])
+    def test_ordering_not_a_permutation_rejected(self, ordering):
+        with pytest.raises(ValueError, match="permutation"):
+            lambda_vector([point(3), point(0), point(1), inf_point()], ordering=ordering)
+
+    def test_three_roots_rejected(self):
+        with pytest.raises(ValueError, match="four roots"):
+            lambda_vector([point(0), point(1), inf_point()])
 
     def test_entries_are_cross_ratios(self):
         rng = np.random.default_rng(61)
@@ -334,6 +345,15 @@ class TestSymmetrizedIk:
     def test_too_few_distinct(self):
         with pytest.raises(ValueError):
             symmetrized_ik([point(0), point(0), point(1), point(1)], 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_power_rejected(self, k):
+        with pytest.raises(ValueError, match="positive integer"):
+            symmetrized_ik(ghz4_roots(), k)
+
+    def test_three_roots_rejected(self):
+        with pytest.raises(ValueError, match="four roots"):
+            symmetrized_ik([point(0), point(1), inf_point()], 2)
 
     def test_triple_root_has_no_valid_ordering(self):
         with pytest.raises(ValueError):

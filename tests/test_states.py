@@ -44,6 +44,10 @@ class TestFromDicke:
         with pytest.raises(ValueError):
             from_dicke(2, [0, 0, 0])
 
+    def test_no_qubits_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            from_dicke(0, [1])
+
     def test_overflowing_norm_is_rescaled(self):
         st = from_dicke(2, [1e308, 1e308j, 0])
         np.testing.assert_array_equal(st.amplitudes, from_dicke(2, [1, 1j, 0]).amplitudes)
@@ -81,6 +85,11 @@ class TestMajoranaPolynomial:
         poly = majorana_polynomial(from_dicke(4, [1, 0, 0, 0, 0]))
         assert poly.degree == 0
         assert poly.infinite_root_count == 4
+
+    @pytest.mark.parametrize("coeffs", [[1], [[1, 0], [0, 1]]], ids=["one", "two-dimensional"])
+    def test_coefficient_shape_checked(self, coeffs):
+        with pytest.raises(ValueError, match="two coefficients"):
+            MajoranaPolynomial(np.asarray(coeffs, dtype=complex))
 
     def test_binomial_factors_cached_read_only(self):
         f = binomial_factors(70)
@@ -235,6 +244,11 @@ class TestRoundTrip:
 def test_invalid_projective_pair():
     with pytest.raises(ValueError):
         RiemannPoint(0, 0)
+
+
+def test_infinity_has_no_finite_value():
+    with pytest.raises(ValueError, match="no finite value"):
+        RiemannPoint.infinity().value
 
 
 @pytest.mark.parametrize("a, b", [(1, float("nan")), (float("nan"), 1)])

@@ -338,6 +338,10 @@ class TestApplyMobius:
         with pytest.raises(ValueError):
             MobiusTransform(np.array([[1, 1], [1, 1]], dtype=complex))
 
+    def test_non_2x2_matrix_rejected(self):
+        with pytest.raises(ValueError, match="2x2"):
+            MobiusTransform(np.eye(3))
+
 
 class TestIloMobiusCorrespondence:
     def test_roots_transform_by_mobius(self):
@@ -453,3 +457,15 @@ class TestYTheta:
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError):
             y_theta(0.3, np.array([1.0, 1.0]), np.array([1.0, 0.0]), np.array([0, 1.0]))
+
+    def test_qubit_with_three_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="two amplitudes"):
+            y_theta(0.3, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0]), np.array([0, 1.0]))
+
+    def test_output_is_normalized_at_every_angle(self):
+        # each qubit is orthogonal to its time reverse, so the two terms are
+        # orthogonal and the output never vanishes
+        rng = np.random.default_rng(69)
+        for theta in rng.uniform(-10, 10, size=50):
+            out = y_theta(theta, random_qubit(rng), random_qubit(rng), random_qubit(rng))
+            assert abs(np.linalg.norm(out) - 1.0) <= 1e-15

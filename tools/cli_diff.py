@@ -34,6 +34,12 @@ def _majorana(points: list) -> dict:
 #: 1e-12 coincidence threshold, where the leading triple of a summary is decided.
 THRESHOLD = [[0, 0], [4.99999999999999e-13, 0], [5e-13, 0], [1e-12, 0]]
 
+#: 150 grid points 0.2 apart; point 120 lies 1e-9 from point 3 and point 149
+#: repeats point 40, so both links join rows of different linkage row blocks.
+BLOCKS = [[(k % 15) / 5, (k // 15) / 5] for k in range(150)]
+BLOCKS[120] = [BLOCKS[3][0] + 1e-9, BLOCKS[3][1]]
+BLOCKS[149] = BLOCKS[40]
+
 #: State files written next to copies of the golden inputs.
 FILES = {
     "ghz3.json": _ghz(3),
@@ -43,6 +49,9 @@ FILES = {
     # with the power sums and, at n = 9, without them
     "threshold.json": _majorana(THRESHOLD + [[1, 0], "inf"]),
     "threshold9.json": _majorana(THRESHOLD + [[1, 0], [-1, 0], [0, 1], [0, -1], "inf"]),
+    # steps of about 9e-8 chordal, ends 1.8e-7 apart: linked only through the middle
+    "tol_chain.json": _majorana([[0, 0], [4.5e-8, 0], [9e-8, 0], [1, 0], [-1, 0]]),
+    "blocks150.json": _majorana(BLOCKS),
     "zeros_and_infinities.json": _majorana([[0, 0], [0, 0], [0, 0], "inf", "inf", "inf"]),
     "double_zero.json": _majorana([[0, 0], [0, 0], [1, 0], [2, 0]]),
     # expands to coefficients beyond the float range
