@@ -77,9 +77,7 @@ def _num(z) -> list[float]:
 
 
 def _point_json(p: RiemannPoint):
-    if p.is_infinite:
-        return "inf"
-    return _num(p.value)
+    return "inf" if p.is_infinite else _num(p.value)
 
 
 def _parse_complex(entry, what: str) -> complex:
@@ -365,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=_positive_float,
         default=DEFAULT_CLUSTER_TOL,
-        help="clustering/classification tolerance (default %(default)s)",
+        help="chordal distance within which roots are the same (default %(default)s)",
     )
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -426,15 +424,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, OverflowError, DegenerateInputError, DivergentSumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (DegenerateInputError, DivergentSumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        if isinstance(exc, _CliError):
+            return exc.code
+        return EXIT_UNSUPPORTED if isinstance(exc, OverflowError) else EXIT_DEGENERATE
 
 
 def entry_point() -> None:

@@ -76,7 +76,7 @@ def y_theta(theta: float, u1, u2, u3) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
         if u.shape != (2,):
             raise ValueError("single-qubit states must have two amplitudes")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(u) - 1.0) <= 1e-9:
             raise ValueError("single-qubit states must be normalized")
         qubits.append(u)
     t = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
@@ -116,7 +116,7 @@ def _check_normalized(t: np.ndarray, n: int) -> np.ndarray:
     t = np.asarray(t, dtype=complex)
     if t.shape != (2**n,):
         raise ValueError(f"expected a dense {n}-qubit vector")
-    if abs(np.linalg.norm(t) - 1.0) > _NORM_TOL:
+    if not abs(np.linalg.norm(t) - 1.0) <= _NORM_TOL:  # NaN fails too
         raise ValueError("dense state must be normalized")
     return t
 

@@ -160,11 +160,16 @@ def single_linkage(points: Sequence[RiemannPoint], tol: float) -> np.ndarray:
     return np.array([label.setdefault(find(i), len(label)) for i in range(m)], dtype=int)
 
 
+def degeneracy(labels: np.ndarray) -> tuple[int, ...]:
+    """Descending group sizes of single-linkage labels."""
+    return tuple(sorted(np.bincount(labels).tolist(), reverse=True))
+
+
 def degeneracy_class(
     roots: Sequence[RiemannPoint], tol: float = DEFAULT_CLUSTER_TOL
 ) -> tuple[int, ...]:
     """Descending single-linkage group sizes, the coarse SLOCC class."""
-    return tuple(sorted(np.bincount(single_linkage(roots, tol)).tolist(), reverse=True))
+    return degeneracy(single_linkage(roots, tol))
 
 
 def cluster(

@@ -15,11 +15,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DivergentSumError
-from .roots import DEFAULT_CLUSTER_TOL, degeneracy_class, point_key
+# degeneracy_class is re-exported
+from .roots import DEFAULT_CLUSTER_TOL, degeneracy, degeneracy_class, point_key, single_linkage
 from .states import RiemannPoint, projective_differences, projective_pairs
 
-#: Chordal threshold below which two points count as the same root when
-#: deciding whether a cross ratio is defined.
+#: Chordal threshold below which the stand-alone cross-ratio functions count
+#: two points as the same; a summary groups roots at its ``tol``.
 COINCIDENCE_TOL = 1e-12
 
 #: Any transformed cross ratio beyond this magnitude marks a divergent
@@ -233,10 +234,10 @@ def canonical_representative(lam) -> RiemannPoint:
 class SloccInvariantSet:
     """Aggregated SLOCC data for one root multiset.
 
-    ``lambda_vector`` is None when fewer than three distinct roots exist;
-    ``klein_j``/``canonical_lambda`` are filled for n = 4 away from the
-    degenerate orbit; ``symmetrized`` holds the power sums unless they
-    diverge, which is flagged instead.
+    ``lambda_vector`` is None below three root groups; ``klein_j`` and
+    ``canonical_lambda`` need four simple roots off the degenerate orbit;
+    ``symmetrized`` holds the power sums unless they diverge, which is
+    flagged instead.
     """
 
     degeneracy: tuple[int, ...]
@@ -255,47 +256,41 @@ SUMMARY_POWERS = (2, 4)
 
 
 def slocc_summary(
-    roots: Sequence[RiemannPoint],
-    tol: float = DEFAULT_CLUSTER_TOL,
+    roots: Sequence[RiemannPoint], tol: float = DEFAULT_CLUSTER_TOL
 ) -> SloccInvariantSet:
     """Compute every SLOCC invariant applicable to the given root multiset.
 
-    The leading triple, lambda and the power sums read one projective-difference
-    array and its coincidence mask: n columns with the power sums, else three.
+    Single linkage at ``tol`` decides every field: the triple is the first
+    member of each of the first three groups, and a multiple root leaves J
+    unset and the power sums divergent.  Lambda and the power sums read one
+    difference array, of n columns with the power sums, else three.
     """
     pts = [as_point(r) for r in roots]
     n = len(pts)
-    signature = degeneracy_class(pts, tol)
+    labels = single_linkage(pts, tol)
+    signature = degeneracy(labels)
+    simple = len(signature) == n
 
     lam_vec = kj = canon = None
     sums: dict[int, complex] = {}
-    skipped, divergent = 0, False
-    if n >= 4:
+    divergent = False
+    if n >= 4 and len(signature) >= 3:
+        triple = np.unique(labels, return_index=True)[1][:3].tolist()
         pairs = projective_pairs(pts)
-        cols = list(range(n if n <= MAX_POWER_SUM_N else 3))
-        det, chordal = projective_differences(pairs, pairs[cols])
-        same = chordal < COINCIDENCE_TOL
-        # greedy: root 0, then each first root distinct from all before
-        triple = [0]
-        taken = same[:, 0]
-        while len(triple) < 3 and not taken.all():
-            triple.append(int(taken.argmin()))
-            if triple[-1] not in cols:
-                cols = triple[:]
-                det, chordal = projective_differences(pairs, pairs[cols])
-                same = chordal < COINCIDENCE_TOL
-            taken = taken | same[:, cols.index(triple[-1])]
-        if len(triple) == 3:
-            lam_vec = _lambdas(det, triple, cols)
-            if n == 4:
+        cols = list(range(n)) if n <= MAX_POWER_SUM_N else triple
+        det, _ = projective_differences(pairs, pairs[cols])
+        lam_vec = _lambdas(det, triple, cols)
+        if n == 4 and simple:
+            try:
+                kj = klein_j(lam_vec[0])
+                canon = canonical_representative(lam_vec[0])
+            except DegenerateInputError:
+                pass
+        if n <= MAX_POWER_SUM_N:
+            divergent = not simple
+            if simple:
                 try:
-                    kj = klein_j(lam_vec[0])
-                    canon = canonical_representative(lam_vec[0])
-                except DegenerateInputError:
-                    pass
-            if n <= MAX_POWER_SUM_N:
-                try:
-                    sums, skipped, _ = _power_sums(det, same, SUMMARY_POWERS)
+                    sums = _power_sums(det, np.eye(n, dtype=bool), SUMMARY_POWERS)[0]
                 except DivergentSumError:
                     divergent = True
     return SloccInvariantSet(
@@ -304,7 +299,5 @@ def slocc_summary(
         klein_j=kj,
         canonical_lambda=canon,
         symmetrized=sums,
-        skipped_permutations=skipped,
         divergent=divergent,
     )
-

@@ -173,6 +173,8 @@ class SymmetricState:
             scale = max(np.abs(amps.real).max(), np.abs(amps.imag).max())
             if scale == 0.0:
                 raise ValueError("amplitude vector is zero")
+            if scale < np.finfo(float).tiny:  # 1/scale overflows
+                amps, scale = amps * 2.0**1000, scale * 2.0**1000
             amps = amps / scale
             norm = np.linalg.norm(amps)
         amps = amps / norm

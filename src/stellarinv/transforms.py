@@ -185,11 +185,9 @@ class IloParameters:
     h: complex
 
     def __post_init__(self):
-        b1 = complex(self.beta1)
-        b2 = complex(self.beta2)
-        object.__setattr__(self, "beta1", b1)
-        object.__setattr__(self, "beta2", b2)
-        object.__setattr__(self, "h", complex(self.h))
+        for name in ("beta1", "beta2", "h"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
+        b1, b2 = self.beta1, self.beta2
         scale = max(1.0, abs(b1), abs(b2))
         if abs(b1 - b2) <= _DOMAIN_TOL * scale:
             raise DegenerateInputError("parameterization requires beta1 != beta2")

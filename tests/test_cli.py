@@ -209,7 +209,7 @@ class TestInvariants:
         # the plain norm overflows or underflows; the state is the same as for
         # unit amplitudes
         outs = []
-        for scale in (1e308, 1e-13, 1e-200, 1):
+        for scale in (1e308, 1e-13, 1e-200, 1e-310, 5e-324, 1):
             amps = [[scale, 0], [scale, 0], [0, 0]]
             path = write_state(tmp_path, "s.json", {"n": 2, "basis": "dicke", "amplitudes": amps})
             code, out, _ = run(capsys, "invariants", path)
@@ -295,15 +295,51 @@ class TestInvariants:
 
     @pytest.mark.parametrize("extra", [[], [[-2, 1]]], ids=["n4", "n5"])
     def test_near_coincident_chain_exits_0(self, capsys, tmp_path, extra):
-        # 0 ~ 4e-13 ~ 8e-13 pairwise below the 1e-12 coincidence threshold,
-        # but 0 and 8e-13 are distinct
+        # 0 ~ 4e-13 ~ 8e-13 is one triple root at --tol: at n = 4 that leaves
+        # two roots, no lambda, and J on its pole; at n = 5 three roots
         points = [[0, 0], [4e-13, 0], [8e-13, 0], [1, 0]] + extra
         doc = {"n": len(points), "basis": "majorana", "points": points}
         path = write_state(tmp_path, "chain.json", doc)
-        for flags in ([], ["--slocc"]):
-            code, out, err = run(capsys, "invariants", path, *flags)
+        code, out, err = run(capsys, "invariants", path)
+        assert code == 0, err
+        slocc = json.loads(out)["slocc"]
+        assert slocc["degeneracy"] == [3] + [1] * len(extra) + [1]
+        assert ("lambda_vector" in slocc) == bool(extra)
+        code, out, err = run(capsys, "invariants", path, "--slocc")
+        if extra:
             assert code == 0, err
             assert "lambda_vector" in json.loads(out)["slocc"]
+        else:
+            assert (code, out) == (4, "")
+            assert "degenerate" in err
+
+    def test_exact_double_root_slocc_exits_4(self, capsys, tmp_path):
+        # points 1 and 3 are one double root: J sits on its pole rather than
+        # at the -6e31 the rounding of lambda near 0 would give
+        a = [-0.3356080333276904, 0.5494387802798892]
+        points = [
+            [0.8063630567820633, -0.31029227000142345],
+            a,
+            [-0.05426894624359062, 1.1536094769949883],
+            a,
+        ]
+        path = write_state(tmp_path, "double.json", {"n": 4, "basis": "majorana", "points": points})
+        code, out, err = run(capsys, "invariants", path, "--slocc")
+        assert (code, out) == (4, "")
+        assert "degenerate" in err
+
+    def test_subnormal_amplitudes_behave_like_d0(self, capsys, tmp_path):
+        # the largest part is subnormal: the file is |D_0>, not NaN amplitudes
+        outs = {}
+        for name, amp in (("tiny", 5e-324), ("unit", 1)):
+            doc = {"n": 2, "basis": "dicke", "amplitudes": [[amp, 0], [0, 0], [0, 0]]}
+            path = write_state(tmp_path, "s.json", doc)
+            for command in ("invariants", "roots", "classify", "transform"):
+                flags = ["--time-reversal"] if command == "transform" else []
+                code, out, err = run(capsys, command, path, *flags)
+                assert code == 0, err
+                outs.setdefault(name, []).append(out)
+        assert outs["tiny"] == outs["unit"]
 
 
 class TestFlags:

@@ -32,6 +32,7 @@ from stellarinv import (
     to_sphere,
     w_state,
     wootters_concurrence,
+    y_theta,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -261,3 +262,19 @@ class TestThreeTangle:
         np.testing.assert_allclose(
             three_tangle(np.exp(0.7j) * t), three_tangle(t), atol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_lu_invariants3(np.full(8, np.nan)),
+        lambda: three_tangle(np.full(8, np.nan)),
+        lambda: wootters_concurrence(np.full(4, np.nan)),
+        lambda: y_theta(0.3, np.array([np.nan, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+    ],
+    ids=["oracle_lu_invariants3", "three_tangle", "wootters_concurrence", "y_theta"],
+)
+def test_nan_state_fails_the_normalization_check(call):
+    # abs(nan - 1) > tol is False: each check must be written so NaN fails it
+    with pytest.raises(ValueError, match="normalized"):
+        call()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import inf_point, multiset_distance, point, random_points
+from helpers import inf_point, multiset_distance, point, random_points, reference_linkage
 from stellarinv import (
     DegenerateInputError,
     DivergentSumError,
@@ -24,14 +24,15 @@ from stellarinv import (
     symmetrized_ik,
 )
 from stellarinv import slocc
-from stellarinv.roots import find_roots
-from stellarinv.slocc import COINCIDENCE_TOL, MAX_POWER_SUM_N
+from stellarinv.roots import DEFAULT_CLUSTER_TOL, find_roots, single_linkage
+from stellarinv.slocc import MAX_POWER_SUM_N
 from stellarinv.states import majorana_polynomial, projective_differences, projective_pairs
 
 OMEGA = np.exp(1j * np.pi / 3)  # equianharmonic cross ratio, root of l^2 - l + 1
 
 # chordal(0, 4e-13) and chordal(4e-13, 8e-13) fall below the 1e-12 coincidence
-# threshold, chordal(0, 8e-13) does not: {0, 8e-13, 1} is the one distinct triple
+# threshold, chordal(0, 8e-13) does not: {0, 8e-13, 1} is the one distinct triple.
+# At the clustering tolerance the first three are one triple root.
 CHAIN = [0.0, 4e-13, 8e-13, 1.0]
 
 
@@ -370,28 +371,33 @@ class TestSymmetrizedIk:
         assert 0 < res.skipped < res.total
 
     def test_near_coincident_chain_summary(self):
+        # the summary groups at its tolerance: a triple root and 1, no triple
         summary = slocc_summary([point(z) for z in CHAIN])
-        assert summary.lambda_vector is not None
-        assert summary.symmetrized or summary.divergent
+        assert summary.degeneracy == (3, 1)
+        assert summary.lambda_vector is None and summary.klein_j is None
+        assert summary.symmetrized == {} and not summary.divergent
 
 
-def summary_cases():
+def summary_cases(chain=True):
     """Root sets at n = 4..8: random, with a root at infinity, the chain plus
-    random roots, and a repeated root at the front and at the back."""
+    random roots (unless ``chain`` is false), and a repeated root at the front
+    and at the back."""
     rng = np.random.default_rng(72)
     for n in range(4, 9):
         plain = random_points(rng, n, min_sep=0.05)
         yield plain
         yield plain[:-1] + [inf_point()]
-        yield [point(z) for z in CHAIN] + plain[4:]
+        if chain:
+            yield [point(z) for z in CHAIN] + plain[4:]
         yield [plain[0]] + plain[:-1]
         yield plain[:-1] + [plain[0]]
 
 
 class TestSummaryMatchesPublicFunctions:
     def test_power_sums_are_bit_identical(self):
+        # the chain is one root to the summary but three to the 1e-12 functions
         diverged = 0
-        for pts in summary_cases():
+        for pts in summary_cases(chain=False):
             summary = slocc_summary(pts)
             assert summary.lambda_vector is not None
             try:
@@ -419,9 +425,9 @@ class TestSummaryMatchesPublicFunctions:
 
 
 def widened_cases():
-    """Root sets at n = 9..20, past the power sums, that make the summary's
-    scan leave its first three columns: the first three or five roots
-    coincide, or the 1e-12 chain leads."""
+    """Root sets at n = 9..20, past the power sums, whose leading triple is not
+    the first three roots: the first three or five roots coincide, or the
+    1e-12 chain leads."""
     rng = np.random.default_rng(73)
     for n in (9, 12, 20):
         plain = random_points(rng, n, min_sep=0.05)
@@ -433,24 +439,27 @@ def widened_cases():
         yield [inf_point()] * 4 + plain[4:]
 
 
-def greedy_ordering(pts):
-    """The first three pairwise-distinct roots of a scalar scan, then the rest."""
-    triple = []
-    for i, p in enumerate(pts):
-        if all(chordal_distance(p, pts[j]) >= COINCIDENCE_TOL for j in triple):
-            triple.append(i)
-            if len(triple) == 3:
-                return triple + [i for i in range(len(pts)) if i not in triple]
-    return None
+def group_ordering(pts):
+    """The first member of each of the first three reference single-linkage
+    groups at the default tolerance, then the rest; None below three groups."""
+    groups = reference_linkage(pts, DEFAULT_CLUSTER_TOL)
+    if len(groups) < 3:
+        return None
+    triple = [members[0] for members in groups[:3]]
+    return triple + [i for i in range(len(pts)) if i not in triple]
 
 
 class TestLeadingTriple:
     def test_lambda_is_lambda_vector_under_the_greedy_ordering(self):
+        # the triple is the first member of each of the first three groups
         widened = 0
         for pts in itertools.chain(summary_cases(), widened_cases()):
-            ordering = greedy_ordering(pts)
-            want = lambda_vector(pts, ordering=ordering)
+            ordering = group_ordering(pts)
             got = slocc_summary(pts).lambda_vector
+            if ordering is None:
+                assert got is None
+                continue
+            want = lambda_vector(pts, ordering=ordering)
             assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in want]
             widened += ordering[:3] != [0, 1, 2] and len(pts) > MAX_POWER_SUM_N
         assert widened >= 15
@@ -458,23 +467,30 @@ class TestLeadingTriple:
     def test_no_lambda_below_three_distinct_roots(self):
         # 4e-13 is within the threshold of 0: two distinct roots, ten in all
         pts = [point(z) for z in CHAIN[:2]] * 3 + [inf_point()] * 4
-        assert greedy_ordering(pts) is None
+        assert group_ordering(pts) is None
         assert slocc_summary(pts).lambda_vector is None
 
     def test_no_square_array_past_the_power_sums(self, monkeypatch):
-        widths = []
+        widths, linkages = [], []
 
         def spy(rows, cols):
             widths.append((len(rows), len(cols)))
             return projective_differences(rows, cols)
 
+        def linkage_spy(points, tol):
+            linkages.append(tol)
+            return single_linkage(points, tol)
+
         monkeypatch.setattr(slocc, "projective_differences", spy)
+        monkeypatch.setattr(slocc, "single_linkage", linkage_spy)
         for pts in widened_cases():
             widths.clear()
+            linkages.clear()
             summary = slocc_summary(pts)
             assert summary.lambda_vector is not None and summary.symmetrized == {}
-            assert 1 < len(widths) <= 3
-            assert all(rows == len(pts) and cols <= 3 for rows, cols in widths)
+            # one (n, 3) array, one grouping: no scan, no rebuild
+            assert widths == [(len(pts), 3)]
+            assert linkages == [DEFAULT_CLUSTER_TOL]
 
     def test_chordal_distance_is_the_array_entry(self):
         rng = np.random.default_rng(74)
@@ -483,6 +499,55 @@ class TestLeadingTriple:
         _, chordal = projective_differences(projective_pairs(pts), projective_pairs(pts))
         for (i, p), (j, q) in itertools.product(enumerate(pts), repeat=2):
             assert chordal_distance(p, q) == chordal[i, j]
+
+
+#: Offsets of a near copy from an earlier root: exact, inside the 1e-12
+#: coincidence threshold, and inside and around the 1e-7 clustering tolerance.
+NEAR_OFFSETS = [0.0, 4e-13, 1e-9, 4.5e-8, 9e-8, 2e-7]
+
+
+@st.composite
+def clustered_roots(draw):
+    """4..10 roots, each a fresh point (infinity among them) or a near copy
+    of an earlier root, so groups, chains and exact repeats all occur."""
+    coords = st.floats(-3, 3)
+    pts = []
+    for i in range(draw(st.integers(4, 10))):
+        if i and draw(st.booleans()):
+            base = pts[draw(st.integers(0, i - 1))]
+            dz = draw(st.sampled_from(NEAR_OFFSETS)) * draw(st.sampled_from([1, -1, 1j]))
+            pts.append(base if base.is_infinite else point(base.value + dz))
+        elif draw(st.integers(0, 7)) == 0:
+            pts.append(inf_point())
+        else:
+            pts.append(point(complex(draw(coords), draw(coords))))
+    return pts
+
+
+class TestOneRule:
+    @seed(75)
+    @settings(max_examples=200, deadline=None)
+    @given(pts=clustered_roots())
+    def test_first_member_of_each_group_stands_for_it(self, pts):
+        # the summary decides "same root" by its clustering alone: replacing
+        # every root by the first member of its group changes none of it
+        groups = reference_linkage(pts, DEFAULT_CLUSTER_TOL)
+        first = {i: members[0] for members in groups for i in members}
+        got = slocc_summary(pts)
+        want = slocc_summary([pts[first[i]] for i in range(len(pts))])
+        assert got.degeneracy == want.degeneracy
+        for name in ("lambda_vector", "klein_j", "canonical_lambda"):
+            assert (getattr(got, name) is None) == (getattr(want, name) is None)
+        assert bool(got.symmetrized) == bool(want.symmetrized)
+        assert got.divergent == want.divergent
+        if got.lambda_vector is None:
+            return
+        triple = [members[0] for members in groups[:3]]
+        alone = {members[0] for members in groups if len(members) == 1}
+        others = [i for i in range(len(pts)) if i not in triple]
+        for i, p, q in zip(others, got.lambda_vector, want.lambda_vector):
+            if i in alone:
+                assert (p.a, p.b) == (q.a, q.b)
 
 
 class TestDegeneracyClass:

@@ -52,7 +52,7 @@ class TestFromDicke:
         st = from_dicke(2, [1e308, 1e308j, 0])
         np.testing.assert_array_equal(st.amplitudes, from_dicke(2, [1, 1j, 0]).amplitudes)
 
-    @pytest.mark.parametrize("scale", [1e-13, 1e-200])
+    @pytest.mark.parametrize("scale", [1e-13, 1e-200, 1e-310, 5e-324])
     def test_tiny_norm_is_rescaled(self, scale):
         st = from_dicke(2, [scale, scale * 1j, 0])
         np.testing.assert_array_equal(st.amplitudes, from_dicke(2, [1, 1j, 0]).amplitudes)
@@ -67,8 +67,25 @@ class TestFromDicke:
         with pytest.raises(ValueError):
             st3.amplitudes[0] = 5.0
 
+    def test_spin_is_half_the_qubit_count(self):
+        assert from_dicke(3, [1, 0, 0, 1]).spin == 1.5
+
+
+class TestRiemannPoint:
+    def test_complex_is_the_finite_value(self):
+        assert complex(point(0.5 - 2j)) == 0.5 - 2j
+        with pytest.raises(ValueError, match="infinity"):
+            complex(inf_point())
+
+    def test_repr(self):
+        assert repr(point(0.5)) == "RiemannPoint((0.5+0j))"
+        assert repr(inf_point()) == "RiemannPoint(inf)"
+
 
 class TestMajoranaPolynomial:
+    def test_zero_polynomial_has_degree_zero(self):
+        assert MajoranaPolynomial([0, 0, 0]).degree == 0
+
     def test_ghz3_coefficients(self):
         poly = majorana_polynomial(from_dicke(3, [1, 0, 0, 1]))
         # proportional to 1 + alpha^3

@@ -342,6 +342,14 @@ class TestApplyMobius:
         with pytest.raises(ValueError, match="2x2"):
             MobiusTransform(np.eye(3))
 
+    def test_inverse_undoes_the_map(self):
+        rng = np.random.default_rng(70)
+        m = MobiusTransform(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        pts = [point(complex(*rng.normal(size=2))) for _ in range(20)]
+        for p in pts + [RiemannPoint.infinity()]:
+            back = apply_mobius(m.inverse(), apply_mobius(m, p))
+            assert chordal_distance(back, p) <= 1e-14
+
 
 class TestIloMobiusCorrespondence:
     def test_roots_transform_by_mobius(self):

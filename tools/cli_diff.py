@@ -62,6 +62,21 @@ FILES = {
         "basis": "dicke",
         "amplitudes": [[1e-13, 0], [0, 0], [1e-13, 0]],
     },
+    # a largest part below the smallest normal float
+    "subnormal_amplitudes.json": {
+        "n": 2,
+        "basis": "dicke",
+        "amplitudes": [[5e-324, 0], [0, 0], [0, 0]],
+    },
+    # roots 1 and 3 are one exact double root
+    "double_root_n4.json": _majorana(
+        [
+            [0.8063630567820633, -0.31029227000142345],
+            [-0.3356080333276904, 0.5494387802798892],
+            [-0.05426894624359062, 1.1536094769949883],
+            [-0.3356080333276904, 0.5494387802798892],
+        ]
+    ),
 }
 
 #: Commands run on every state file, the file name going second.
