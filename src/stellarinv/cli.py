@@ -193,7 +193,8 @@ def _slocc_section(summary):
         section["canonical_lambda"] = _point_json(summary.canonical_lambda)
     if summary.symmetrized:
         section["symmetrized"] = {str(k): _num(v) for k, v in summary.symmetrized.items()}
-        section["skipped_permutations"] = summary.skipped_permutations
+        # a returned sum skips no ordering; the key keeps the output bytes
+        section["skipped_permutations"] = 0
     if summary.divergent:
         section["symmetrized_divergent"] = True
     return section

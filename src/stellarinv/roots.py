@@ -129,15 +129,15 @@ def point_key(p: RiemannPoint) -> tuple[int, float, float]:
     return (0, z.real, z.imag)
 
 
-def single_linkage(points: Sequence[RiemannPoint], tol: float) -> np.ndarray:
-    """Group label of each point under single linkage at chordal distance <= ``tol``
-    (transitive: a chain of such steps links a group), groups numbered in order
-    of their smallest member.  Distances come in row blocks of at most
+def single_linkage(pairs: np.ndarray, tol: float) -> np.ndarray:
+    """Group label of each row of an (m, 2) projective-pair array under single
+    linkage at chordal distance <= ``tol`` (transitive: a chain of such steps
+    links a group), groups numbered in order of their smallest member; the one
+    test of "same point".  Distances come in row blocks of at most
     :data:`_LINK_CHUNK`; union-find visits only the linked pairs, usually none.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pairs = projective_pairs(points)
     m = len(pairs)
     parent = list(range(m))
 
@@ -169,7 +169,7 @@ def degeneracy_class(
     roots: Sequence[RiemannPoint], tol: float = DEFAULT_CLUSTER_TOL
 ) -> tuple[int, ...]:
     """Descending single-linkage group sizes, the coarse SLOCC class."""
-    return degeneracy(single_linkage(roots, tol))
+    return degeneracy(single_linkage(projective_pairs(roots), tol))
 
 
 def cluster(
@@ -179,7 +179,7 @@ def cluster(
     representative being the normalized mean of the member sphere vectors.
     Ordered by descending multiplicity, then the representative's plane
     coordinates."""
-    labels = single_linkage(points, tol)
+    labels = single_linkage(projective_pairs(points), tol)
     counts = np.bincount(labels)
     means = np.zeros((len(counts), 3))
     np.add.at(means, labels, np.array([to_sphere(p) for p in points]).reshape(-1, 3))

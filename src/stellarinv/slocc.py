@@ -1,26 +1,29 @@
 """SLOCC invariants: cross ratios, anharmonic orbits, Klein J, power sums.
 
 Invertible local operations act on the stellar roots as Moebius maps, so
-SLOCC invariants are functions of cross ratios.  Everything in this module
-works projectively on :class:`~stellarinv.states.RiemannPoint` pairs, which
-keeps arguments at infinity exact rather than approximated by large floats.
+SLOCC invariants are functions of cross ratios of distinct roots.  Everything
+in this module works projectively on :class:`~stellarinv.states.RiemannPoint`
+pairs, which keeps arguments at infinity exact rather than approximated by
+large floats.  One rule decides which roots are the same: the groups of
+:func:`~stellarinv.roots.single_linkage`, at a summary's ``tol`` or at
+:data:`COINCIDENCE_TOL` for points passed to a stand-alone function.  A group
+of several roots is a repeated root, a degenerate class of its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, DivergentSumError
-# degeneracy_class is re-exported
+# degeneracy_class is re-exported: perfbench/tracing.py times it under this module
 from .roots import DEFAULT_CLUSTER_TOL, degeneracy, degeneracy_class, point_key, single_linkage
 from .states import RiemannPoint, projective_differences, projective_pairs
 
-#: Chordal threshold below which the stand-alone cross-ratio functions count
-#: two points as the same; a summary groups roots at its ``tol``.
+#: Single-linkage tolerance at which the stand-alone functions group the
+#: caller's points; a summary groups its roots at its ``tol``.
 COINCIDENCE_TOL = 1e-12
 
 #: Any transformed cross ratio beyond this magnitude marks a divergent
@@ -42,14 +45,14 @@ def cross_ratio(pi, pj, pk, pl) -> RiemannPoint:
     """Cross ratio (alpha_i - alpha_k)(alpha_j - alpha_l) /
     ((alpha_j - alpha_k)(alpha_i - alpha_l)), computed projectively.
 
-    Defined whenever at least three of the four points are pairwise
-    distinct; the dominant factors cancel exactly for arguments at infinity.
+    Defined whenever the four points form at least three groups at
+    :data:`COINCIDENCE_TOL`; the dominant factors cancel exactly for
+    arguments at infinity.
     """
     pairs = projective_pairs(map(as_point, (pi, pj, pk, pl)))
-    det, chordal = projective_differences(pairs, pairs)
-    same = chordal < COINCIDENCE_TOL
-    if all(same[i, j] or same[i, k] or same[j, k] for i, j, k in combinations(range(4), 3)):
+    if single_linkage(pairs, COINCIDENCE_TOL).max() < 2:
         raise ValueError("cross ratio needs at least three distinct points")
+    det, _ = projective_differences(pairs, pairs)
     return RiemannPoint(det[0, 2] * det[1, 3], det[1, 2] * det[0, 3])
 
 
@@ -110,27 +113,19 @@ def i2_closed_n4(lam) -> complex:
     return num / den
 
 
-def lambda_vector(
-    roots: Sequence[RiemannPoint], ordering: Sequence[int] | None = None
-) -> list[RiemannPoint]:
+def lambda_vector(roots: Sequence[RiemannPoint]) -> list[RiemannPoint]:
     """Cross-ratio coordinates of the roots beyond the first three.
 
-    The Moebius map sending the first three (pairwise distinct) roots to
-    (0, 1, infinity) is applied to the remaining ones, giving the n-3
-    values that coordinatize the SLOCC class.  ``ordering`` permutes the
-    roots before the map is built.
+    The Moebius map sending the first three roots (three groups at
+    :data:`COINCIDENCE_TOL`) to (0, 1, infinity) is applied to the remaining
+    ones, giving the n-3 values that coordinatize the SLOCC class.
     """
-    pts = [as_point(r) for r in roots]
-    if ordering is not None:
-        if sorted(ordering) != list(range(len(pts))):
-            raise ValueError("ordering must be a permutation of the root indices")
-        pts = [pts[i] for i in ordering]
-    if len(pts) < 4:
+    pairs = projective_pairs(map(as_point, roots))
+    if len(pairs) < 4:
         raise ValueError("need at least four roots")
-    pairs = projective_pairs(pts)
-    det, chordal = projective_differences(pairs, pairs[:3])
-    if (chordal[[1, 2, 2], [0, 0, 1]] < COINCIDENCE_TOL).any():
+    if single_linkage(pairs[:3], COINCIDENCE_TOL).max() < 2:
         raise ValueError("first three roots must be pairwise distinct")
+    det, _ = projective_differences(pairs, pairs[:3])
     return _lambdas(det, (0, 1, 2), range(3))
 
 
@@ -144,23 +139,14 @@ def _lambdas(det: np.ndarray, triple, cols) -> list[RiemannPoint]:
     return [RiemannPoint(x, y) for i, (x, y) in enumerate(pairs) if i not in triple]
 
 
-class PowerSumResult(NamedTuple):
-    """Value of a permutation power sum plus the bookkeeping around it."""
-
-    value: complex
-    skipped: int
-    total: int
-
-
-def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
+def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> complex:
     """Sum of the k-th powers of the leading transformed cross ratio over
     all n! root orderings.
 
     For each ordering the first three roots define the normalizing Moebius
-    map and the fourth is evaluated through it; orderings whose leading
-    triple contains coincident roots are skipped and counted.  Since the
-    term depends only on the leading four slots, the sum runs over ordered
-    4-tuples weighted by (n-4)!, which is exactly the full permutation sum.
+    map and the fourth is evaluated through it.  Since the term depends only
+    on the leading four slots, the sum runs over ordered 4-tuples weighted
+    by (n-4)!, which is exactly the full permutation sum.
 
     Every term is read off one matrix of projective differences
     det[x, y] = a_x b_y - a_y b_x.  The tuples are evaluated in chunks of
@@ -168,36 +154,38 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> PowerSumResult:
     imaginary parts of each chunk are summed exactly with ``math.fsum``.
     Up to n = 16 all tuples form one chunk, so the sum is exactly rounded
     and does not depend on the order of the roots; beyond that each chunk
-    adds one rounding.  Raises ``ValueError`` when no ordering has a
-    pairwise-distinct leading triple, since the sum is then empty.
+    adds one rounding.  The roots are grouped at :data:`COINCIDENCE_TOL`,
+    as :func:`slocc_summary` groups them at its ``tol``: fewer than three
+    groups raise ``ValueError`` (no ordering has a triple to normalize by),
+    and a group of several, a repeated root, raises ``DivergentSumError``.
     """
     if k < 1:
         raise ValueError("power k must be a positive integer")
     pairs = projective_pairs(map(as_point, roots))
     if len(pairs) < 4:
         raise ValueError("need at least four roots")
-    det, chordal = projective_differences(pairs, pairs)
-    sums, skipped, total = _power_sums(det, chordal < COINCIDENCE_TOL, (k,))
-    return PowerSumResult(sums[k], skipped, total)
+    groups = single_linkage(pairs, COINCIDENCE_TOL).max() + 1
+    if groups < 3:
+        raise ValueError("fewer than three distinct roots: no valid ordering")
+    if groups < len(pairs):
+        raise DivergentSumError("a repeated root puts some ordering on a pole")
+    det, _ = projective_differences(pairs, pairs)
+    return _power_sums(det, (k,))[k]
 
 
-def _power_sums(
-    det: np.ndarray, same: np.ndarray, powers: Sequence[int]
-) -> tuple[dict[int, complex], int, int]:
-    """Values by power, skipped and total of symmetrized_ik from one 4-tuple pass."""
+def _power_sums(det: np.ndarray, powers: Sequence[int]) -> dict[int, complex]:
+    """symmetrized_ik of n >= 4 simple roots by power, from one 4-tuple pass."""
     n = len(det)
-    # leading triples (i1, i2, i3) in chunks, each against every i4; the
-    # mask holds on the diagonal, so a kept triple has distinct indices
+    # leading triples (i1, i2, i3) in chunks, each against every other i4
     i4 = np.arange(n)[:, None]
     triples = n**3
     step = max(1, _TUPLE_CHUNK // n)
-    kept = 0
     parts: dict[int, tuple[list[float], list[float]]] = {k: ([], []) for k in powers}
     for start in range(0, triples, step):
         i1, i2, i3 = np.unravel_index(
             np.arange(start, min(start + step, triples)), (n, n, n)
         )
-        lead = ~(same[i1, i2] | same[i1, i3] | same[i2, i3])
+        lead = (i1 != i2) & (i1 != i3) & (i2 != i3)
         i1, i2, i3 = i1[lead], i2[lead], i3[lead]
         other = (i4 != i1) & (i4 != i2) & (i4 != i3)
         num = (det[:, i1] * det[i2, i3])[other]
@@ -207,17 +195,12 @@ def _power_sums(
                 "transformed cross ratio exceeds the divergence threshold"
             )
         ratio = num / den
-        kept += ratio.size
         for k, (re_parts, im_parts) in parts.items():
             terms = ratio**k
             re_parts.append(math.fsum(terms.real.tolist()))
             im_parts.append(math.fsum(terms.imag.tolist()))
-    if not kept:
-        raise ValueError("fewer than three distinct roots: no valid ordering")
     weight = math.factorial(n - 4)
-    total = math.factorial(n)
-    sums = {k: complex(math.fsum(re), math.fsum(im)) * weight for k, (re, im) in parts.items()}
-    return sums, total - kept * weight, total
+    return {k: complex(math.fsum(re), math.fsum(im)) * weight for k, (re, im) in parts.items()}
 
 
 def canonical_representative(lam) -> RiemannPoint:
@@ -245,7 +228,6 @@ class SloccInvariantSet:
     klein_j: complex | None = None
     canonical_lambda: RiemannPoint | None = None
     symmetrized: dict[int, complex] = field(default_factory=dict)
-    skipped_permutations: int = 0
     divergent: bool = False
 
 
@@ -265,9 +247,9 @@ def slocc_summary(
     unset and the power sums divergent.  Lambda and the power sums read one
     difference array, of n columns with the power sums, else three.
     """
-    pts = [as_point(r) for r in roots]
-    n = len(pts)
-    labels = single_linkage(pts, tol)
+    pairs = projective_pairs(map(as_point, roots))
+    n = len(pairs)
+    labels = single_linkage(pairs, tol)
     signature = degeneracy(labels)
     simple = len(signature) == n
 
@@ -276,7 +258,6 @@ def slocc_summary(
     divergent = False
     if n >= 4 and len(signature) >= 3:
         triple = np.unique(labels, return_index=True)[1][:3].tolist()
-        pairs = projective_pairs(pts)
         cols = list(range(n)) if n <= MAX_POWER_SUM_N else triple
         det, _ = projective_differences(pairs, pairs[cols])
         lam_vec = _lambdas(det, triple, cols)
@@ -290,7 +271,7 @@ def slocc_summary(
             divergent = not simple
             if simple:
                 try:
-                    sums = _power_sums(det, np.eye(n, dtype=bool), SUMMARY_POWERS)[0]
+                    sums = _power_sums(det, SUMMARY_POWERS)
                 except DivergentSumError:
                     divergent = True
     return SloccInvariantSet(

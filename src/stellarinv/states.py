@@ -214,10 +214,6 @@ class MajoranaPolynomial:
         above = np.nonzero(mags > LEADING_COEFF_TOL * scale)[0]
         return int(above[-1])
 
-    @property
-    def infinite_root_count(self) -> int:
-        return self.n - self.degree
-
 
 def from_dicke(n: int, amplitudes) -> SymmetricState:
     """Build a normalized symmetric state from n+1 Dicke amplitudes."""

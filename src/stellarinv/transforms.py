@@ -198,9 +198,6 @@ class IloParameters:
     def gamma(self) -> complex:
         return np.exp(1j * (self.h / 2.0) * (self.beta1 - self.beta2) / (self.beta1 + self.beta2))
 
-    def inverse(self) -> "IloParameters":
-        return IloParameters(self.beta1, self.beta2, -self.h)
-
 
 @dataclass(frozen=True)
 class MobiusTransform:
@@ -218,10 +215,6 @@ class MobiusTransform:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(np.eye(2, dtype=complex))
 
     def inverse(self) -> "MobiusTransform":
         a, b = self.matrix[0]

@@ -153,8 +153,8 @@ def test_criterion_04_ilo_mobius():
             assert multiset_distance(got, want) <= 1e-7
             assert degeneracy_class(got, 1e-7) == degeneracy_class(want, 1e-7)
             if n >= 4:
-                v0 = symmetrized_ik(original, 2).value
-                v1 = symmetrized_ik(got, 2).value
+                v0 = symmetrized_ik(original, 2)
+                v1 = symmetrized_ik(got, 2)
                 assert abs(v0 - v1) <= 1e-8 * max(1.0, abs(v0))
 
 
@@ -172,7 +172,7 @@ def test_criterion_05_klein_identity():
         pts = random_points(rng, 4, min_sep=0.3)
         lam = lambda_vector(pts)[0]
         res = symmetrized_ik(pts, 2)
-        assert abs(res.value - 4.0 * i2_closed_n4(lam)) <= 1e-8
+        assert abs(res - 4.0 * i2_closed_n4(lam)) <= 1e-8
 
 
 @criterion(6, "four-qubit one-parameter family lands on the predicted cross ratio")
@@ -208,8 +208,8 @@ def test_criterion_07_five_root_limit():
         errors = []
         for lam1 in (1e-2, 1e-3, 1e-4):
             pts = [point(0), point(1), inf_point(), point(lam1), point(lam2)]
-            i2 = symmetrized_ik(pts, 2).value
-            i4 = symmetrized_ik(pts, 4).value
+            i2 = symmetrized_ik(pts, 2)
+            i4 = symmetrized_ik(pts, 4)
             ratio = i4 / i2**2
             errors.append(abs(ratio - limit) / abs(limit))
         assert errors[0] > errors[1] > errors[2], errors

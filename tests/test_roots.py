@@ -22,6 +22,7 @@ from stellarinv import (
     slocc_summary,
 )
 from stellarinv.roots import _eval_scaled, _scaled_residuals, single_linkage
+from stellarinv.states import projective_pairs
 
 EPS = np.finfo(float).eps
 
@@ -194,7 +195,7 @@ class TestSingleLinkage:
         pts, tol = case
         want = reference_linkage(pts, tol)
         sizes = sorted(map(len, want), reverse=True)
-        assert groups_of(single_linkage(pts, tol)) == want
+        assert groups_of(single_linkage(projective_pairs(pts), tol)) == want
         assert degeneracy_class(pts, tol) == tuple(sizes)
         assert [mult for _, mult in cluster(pts, tol)] == sizes
         assert slocc_summary(pts, tol).degeneracy == tuple(sizes)
@@ -208,22 +209,22 @@ class TestSingleLinkage:
         assert chordal_distance(pts[0], pts[2]) > tol
         for order in ([0, 1, 2], [0, 2, 1], [2, 0, 1]):
             chain = [pts[i] for i in order]
-            assert single_linkage(chain, tol).tolist() == [0, 0, 0]
+            assert single_linkage(projective_pairs(chain), tol).tolist() == [0, 0, 0]
             assert degeneracy_class(chain, tol) == (3,)
             assert [mult for _, mult in cluster(chain, tol)] == [3]
 
     def test_threshold_is_inclusive(self):
         # antipodes sit at chordal distance exactly 2
         for pts in ([point(0), inf_point()], [point(1), point(-1)]):
-            assert single_linkage(pts, 2.0).tolist() == [0, 0]
-            assert single_linkage(pts, 1.999).tolist() == [0, 1]
+            assert single_linkage(projective_pairs(pts), 2.0).tolist() == [0, 0]
+            assert single_linkage(projective_pairs(pts), 1.999).tolist() == [0, 1]
 
     def test_empty_and_single_point(self):
-        assert single_linkage([], 1e-7).tolist() == []
+        assert single_linkage(projective_pairs([]), 1e-7).tolist() == []
         assert degeneracy_class([], 1e-7) == ()
         assert cluster([], 1e-7) == []
         p = point(0.3 - 2j)
-        assert single_linkage([p], 1e-7).tolist() == [0]
+        assert single_linkage(projective_pairs([p]), 1e-7).tolist() == [0]
         assert degeneracy_class([p], 1e-7) == (1,)
         [(rep, mult)] = cluster([p], 1e-7)
         assert mult == 1 and chordal_distance(rep, p) <= 1e-15
@@ -231,7 +232,7 @@ class TestSingleLinkage:
     @pytest.mark.parametrize("tol", [0.0, -1e-7])
     def test_non_positive_tol_rejected(self, tol):
         with pytest.raises(ValueError):
-            single_linkage([point(0), point(1)], tol)
+            single_linkage(projective_pairs([point(0), point(1)]), tol)
         with pytest.raises(ValueError):
             degeneracy_class([point(0), point(1)], tol)
 
@@ -248,7 +249,7 @@ class TestSingleLinkage:
         pts += [near(3), near(150), inf_point(), near(199)]
         want = reference_linkage(pts, 1e-7)
         assert sorted(map(len, want), reverse=True)[:4] == [3, 2, 2, 1]
-        assert groups_of(single_linkage(pts, 1e-7)) == want
+        assert groups_of(single_linkage(projective_pairs(pts), 1e-7)) == want
 
     def test_slocc_summary_at_qubit_ceiling(self):
         rng = np.random.default_rng(1029)

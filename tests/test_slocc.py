@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import inf_point, multiset_distance, point, random_points, reference_linkage
@@ -10,6 +11,7 @@ from stellarinv import (
     DegenerateInputError,
     DivergentSumError,
     MobiusTransform,
+    RiemannPoint,
     anharmonic_orbit,
     apply_mobius,
     canonical_representative,
@@ -25,14 +27,14 @@ from stellarinv import (
 )
 from stellarinv import slocc
 from stellarinv.roots import DEFAULT_CLUSTER_TOL, find_roots, single_linkage
-from stellarinv.slocc import MAX_POWER_SUM_N
+from stellarinv.slocc import COINCIDENCE_TOL, MAX_POWER_SUM_N, SUMMARY_POWERS
 from stellarinv.states import majorana_polynomial, projective_differences, projective_pairs
 
 OMEGA = np.exp(1j * np.pi / 3)  # equianharmonic cross ratio, root of l^2 - l + 1
 
 # chordal(0, 4e-13) and chordal(4e-13, 8e-13) fall below the 1e-12 coincidence
-# threshold, chordal(0, 8e-13) does not: {0, 8e-13, 1} is the one distinct triple.
-# At the clustering tolerance the first three are one triple root.
+# tolerance, chordal(0, 8e-13) does not; single linkage still joins all three
+# through 4e-13, so at 1e-12 as at the clustering tolerance they are one root.
 CHAIN = [0.0, 4e-13, 8e-13, 1.0]
 
 
@@ -105,10 +107,10 @@ class TestCrossRatio:
         np.testing.assert_allclose(got.value, 0.0, atol=1e-15)
 
     def test_near_coincident_chain_in_every_order(self):
-        # only the triple {0, 8e-13, 1} is distinct, whatever the argument order
+        # the chain is one group, so two groups remain, whatever the argument order
         for order in itertools.permutations(CHAIN):
-            got = cross_ratio(*(point(z) for z in order))
-            assert np.isfinite(abs(got.a)) and np.isfinite(abs(got.b))
+            with pytest.raises(ValueError, match="three distinct"):
+                cross_ratio(*(point(z) for z in order))
 
 
 class TestAnharmonicOrbit:
@@ -240,14 +242,16 @@ class TestLambdaVector:
             lambda_vector([point(0), point(0), point(1), point(2)])
 
     def test_explicit_ordering(self):
+        # a caller orders the roots by permuting the list
         pts = [point(3), point(0), point(1), inf_point()]
-        got = lambda_vector(pts, ordering=[1, 2, 3, 0])
+        got = lambda_vector([pts[i] for i in [1, 2, 3, 0]])
         assert abs(got[0].value - 3.0) <= 1e-14
 
-    @pytest.mark.parametrize("ordering", [[0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]])
-    def test_ordering_not_a_permutation_rejected(self, ordering):
-        with pytest.raises(ValueError, match="permutation"):
-            lambda_vector([point(3), point(0), point(1), inf_point()], ordering=ordering)
+    def test_only_the_first_three_are_grouped(self):
+        # 4e-13 links 0 and 8e-13 only when it is among the first three
+        assert len(lambda_vector([point(z) for z in (0.0, 8e-13, 1.0, 4e-13)])) == 1
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            lambda_vector([point(z) for z in (0.0, 4e-13, 1.0, 8e-13)])
 
     def test_three_roots_rejected(self):
         with pytest.raises(ValueError, match="four roots"):
@@ -270,10 +274,7 @@ class TestLambdaVector:
 
 class TestSymmetrizedIk:
     def test_ghz4_quadratic_sum(self):
-        res = symmetrized_ik(ghz4_roots(), 2)
-        np.testing.assert_allclose(res.value, 42.0, atol=1e-10)
-        assert res.skipped == 0
-        assert res.total == 24
+        np.testing.assert_allclose(symmetrized_ik(ghz4_roots(), 2), 42.0, atol=1e-10)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(46)
@@ -282,7 +283,7 @@ class TestSymmetrizedIk:
             lam = lambda_vector(pts)[0]
             res = symmetrized_ik(pts, 2)
             want = i2_closed_n4(lam)
-            assert abs(res.value / 4.0 - want) <= 1e-8 * max(1.0, abs(want))
+            assert abs(res / 4.0 - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_five_roots_against_brute_force(self):
         l1, l2 = 0.21 - 0.43j, 1.7 + 0.8j
@@ -291,8 +292,7 @@ class TestSymmetrizedIk:
         for k in (2, 4):
             res = symmetrized_ik(pts, k)
             want = brute_force_power_sum(vals, k)
-            assert res.total == 120
-            assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
+            assert abs(res - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_six_roots_weighting_against_brute_force(self):
         rng = np.random.default_rng(47)
@@ -300,8 +300,7 @@ class TestSymmetrizedIk:
         pts = [point(z) for z in vals]
         res = symmetrized_ik(pts, 2)
         want = brute_force_power_sum(vals, 2)
-        assert res.total == 720
-        assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
+        assert abs(res - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_one_root_at_infinity_against_brute_force(self):
         rng = np.random.default_rng(52)
@@ -311,7 +310,7 @@ class TestSymmetrizedIk:
             for k in (1, 2, 3, 4):
                 res = symmetrized_ik(pts, k)
                 want = brute_force_power_sum(vals, k)
-                assert abs(res.value - want) <= 1e-12 * abs(want)
+                assert abs(res - want) <= 1e-12 * abs(want)
 
     def test_root_order_leaves_value_bit_identical(self):
         # up to n = 16 every tuple is summed exactly in one fsum
@@ -320,13 +319,13 @@ class TestSymmetrizedIk:
             pts = random_points(rng, n, min_sep=0.2)
             shuffled = [pts[i] for i in rng.permutation(n)]
             for k in (2, 4):
-                assert symmetrized_ik(shuffled, k).value == symmetrized_ik(pts, k).value
+                assert symmetrized_ik(shuffled, k) == symmetrized_ik(pts, k)
 
     def test_linear_sum_over_several_chunks(self):
         rng = np.random.default_rng(54)
         res = symmetrized_ik(random_points(rng, 20, min_sep=0.1), 1)
-        want = res.total / 2.0
-        assert abs(res.value - want) <= 1e-13 * want
+        want = math.factorial(20) / 2.0
+        assert abs(res - want) <= 1e-13 * want
 
     def test_linear_sum_is_constant(self):
         # the six orbit images of any cross ratio sum to 3, so the k=1
@@ -335,8 +334,8 @@ class TestSymmetrizedIk:
         for n in (4, 5, 6):
             pts = random_points(rng, n, min_sep=0.2)
             res = symmetrized_ik(pts, 1)
-            want = res.total / 2.0
-            assert abs(res.value - want) <= 1e-9 * want
+            want = math.factorial(n) / 2.0
+            assert abs(res - want) <= 1e-9 * want
 
     def test_repeated_roots_diverge(self):
         pts = [point(0), point(0), point(1), inf_point()]
@@ -362,13 +361,12 @@ class TestSymmetrizedIk:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_near_coincident_chain(self, k):
-        # valid orderings exist although 0 and 8e-13 both coincide with 4e-13
-        try:
-            res = symmetrized_ik([point(z) for z in CHAIN], k)
-        except DivergentSumError:
-            return
-        assert np.isfinite(res.value)
-        assert 0 < res.skipped < res.total
+        # the chain is one triple root: two groups leave no triple, and with
+        # a third group it is a repeated root, as in the summary
+        with pytest.raises(ValueError, match="three distinct"):
+            symmetrized_ik([point(z) for z in CHAIN], k)
+        with pytest.raises(DivergentSumError):
+            symmetrized_ik([point(z) for z in CHAIN + [2.0]], k)
 
     def test_near_coincident_chain_summary(self):
         # the summary groups at its tolerance: a triple root and 1, no triple
@@ -378,38 +376,39 @@ class TestSymmetrizedIk:
         assert summary.symmetrized == {} and not summary.divergent
 
 
-def summary_cases(chain=True):
+def summary_cases():
     """Root sets at n = 4..8: random, with a root at infinity, the chain plus
-    random roots (unless ``chain`` is false), and a repeated root at the front
-    and at the back."""
+    random roots, and a repeated root at the front and at the back."""
     rng = np.random.default_rng(72)
     for n in range(4, 9):
         plain = random_points(rng, n, min_sep=0.05)
         yield plain
         yield plain[:-1] + [inf_point()]
-        if chain:
-            yield [point(z) for z in CHAIN] + plain[4:]
+        yield [point(z) for z in CHAIN] + plain[4:]
         yield [plain[0]] + plain[:-1]
         yield plain[:-1] + [plain[0]]
 
 
 class TestSummaryMatchesPublicFunctions:
     def test_power_sums_are_bit_identical(self):
-        # the chain is one root to the summary but three to the 1e-12 functions
-        diverged = 0
-        for pts in summary_cases(chain=False):
+        # no two roots lie between 1e-12 and the clustering tolerance, so the
+        # summary and the 1e-12 functions group them alike
+        diverged = empty = 0
+        for pts in summary_cases():
             summary = slocc_summary(pts)
-            assert summary.lambda_vector is not None
             try:
                 results = {k: symmetrized_ik(pts, k) for k in (2, 4)}
             except DivergentSumError:
                 diverged += 1
                 assert summary.divergent and summary.symmetrized == {}
                 continue
+            except ValueError:  # the n = 4 chain: two groups
+                empty += 1
+                assert not summary.divergent and summary.symmetrized == {}
+                continue
             assert not summary.divergent
-            assert summary.symmetrized == {k: res.value for k, res in results.items()}
-            assert summary.skipped_permutations == results[2].skipped == results[4].skipped
-        assert 0 < diverged
+            assert summary.symmetrized == results
+        assert 0 < diverged and 0 < empty
 
     def test_lambda_is_lambda_vector_when_the_first_three_are_distinct(self):
         compared = 0
@@ -459,7 +458,7 @@ class TestLeadingTriple:
             if ordering is None:
                 assert got is None
                 continue
-            want = lambda_vector(pts, ordering=ordering)
+            want = lambda_vector([pts[i] for i in ordering])
             assert [(p.a, p.b) for p in got] == [(p.a, p.b) for p in want]
             widened += ordering[:3] != [0, 1, 2] and len(pts) > MAX_POWER_SUM_N
         assert widened >= 15
@@ -477,9 +476,9 @@ class TestLeadingTriple:
             widths.append((len(rows), len(cols)))
             return projective_differences(rows, cols)
 
-        def linkage_spy(points, tol):
+        def linkage_spy(pairs, tol):
             linkages.append(tol)
-            return single_linkage(points, tol)
+            return single_linkage(pairs, tol)
 
         monkeypatch.setattr(slocc, "projective_differences", spy)
         monkeypatch.setattr(slocc, "single_linkage", linkage_spy)
@@ -548,6 +547,52 @@ class TestOneRule:
         for i, p, q in zip(others, got.lambda_vector, want.lambda_vector):
             if i in alone:
                 assert (p.a, p.b) == (q.a, q.b)
+
+
+@st.composite
+def chained_roots(draw):
+    """4..8 roots, each a fresh point (infinity among them) or a near copy,
+    10^U(-14, -10) chordal away, of an earlier root; a copy of a copy
+    extends a chain."""
+    coords = st.floats(-3, 3)
+    pts = []
+    for i in range(draw(st.integers(4, 8))):
+        if i and draw(st.booleans()):
+            base = pts[draw(st.integers(0, i - 1))]
+            d = 10.0 ** draw(st.floats(-14, -10)) * draw(st.sampled_from([1, -1, 1j, -1j]))
+            if base.is_infinite:
+                pts.append(RiemannPoint(1.0, d / 2))
+            else:
+                pts.append(point(base.value + d * (1 + abs(base.value) ** 2) / 2))
+        elif draw(st.integers(0, 7)) == 0:
+            pts.append(inf_point())
+        else:
+            pts.append(point(complex(draw(coords), draw(coords))))
+    return pts
+
+
+class TestStandAloneFunctionsFollowTheSummary:
+    @seed(76)
+    @settings(max_examples=200, deadline=None)
+    @given(pts=chained_roots())
+    @example(pts=[point(z) for z in CHAIN + [2.0]])
+    def test_one_grouping_at_the_coincidence_tolerance(self, pts):
+        summary = slocc_summary(pts, COINCIDENCE_TOL)
+        try:
+            sums = {k: symmetrized_ik(pts, k) for k in SUMMARY_POWERS}
+        except DivergentSumError:
+            assert summary.divergent and summary.symmetrized == {}
+        except ValueError:
+            assert not summary.divergent and summary.symmetrized == {}
+        else:
+            assert not summary.divergent and summary.symmetrized == sums
+        groups = single_linkage(projective_pairs(pts[:4]), COINCIDENCE_TOL).max() + 1
+        try:
+            cross_ratio(*pts[:4])
+        except ValueError:
+            assert groups < 3
+        else:
+            assert groups >= 3
 
 
 class TestDegeneracyClass:
@@ -626,7 +671,7 @@ class TestMobiusInvariance:
                 j0, j1 = klein_j(lam0), klein_j(lam1)
                 assert abs(j0 - j1) <= 1e-9 * max(1.0, abs(j0))
             for k in (2, 4):
-                v0 = symmetrized_ik(pts, k).value
-                v1 = symmetrized_ik(moved, k).value
+                v0 = symmetrized_ik(pts, k)
+                v1 = symmetrized_ik(moved, k)
                 assert abs(v0 - v1) <= 1e-9 * max(1.0, abs(v0))
             assert degeneracy_class(pts, 1e-7) == degeneracy_class(moved, 1e-7)

@@ -96,12 +96,12 @@ class TestMajoranaPolynomial:
         poly = majorana_polynomial(from_dicke(3, [0, 1, 0, 0]))
         np.testing.assert_allclose(poly.coefficients, [0, np.sqrt(3), 0, 0], atol=1e-15)
         assert poly.degree == 1
-        assert poly.infinite_root_count == 2
+        assert poly.n - poly.degree == 2
 
     def test_lowest_weight_state_is_constant(self):
         poly = majorana_polynomial(from_dicke(4, [1, 0, 0, 0, 0]))
         assert poly.degree == 0
-        assert poly.infinite_root_count == 4
+        assert poly.n - poly.degree == 4
 
     @pytest.mark.parametrize("coeffs", [[1], [[1, 0], [0, 1]]], ids=["one", "two-dimensional"])
     def test_coefficient_shape_checked(self, coeffs):

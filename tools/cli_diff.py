@@ -46,6 +46,8 @@ FILES = {
     "ghz8.json": _ghz(8),
     "ghz16.json": _ghz(16),
     "chain.json": _majorana([[0, 0], [4e-13, 0], [8e-13, 0], [1, 0]]),
+    # at --tol 1e-12 the chain is one triple root next to two simple ones
+    "chain5.json": _majorana([[0, 0], [4e-13, 0], [8e-13, 0], [1, 0], [2, 0]]),
     # with the power sums and, at n = 9, without them
     "threshold.json": _majorana(THRESHOLD + [[1, 0], "inf"]),
     "threshold9.json": _majorana(THRESHOLD + [[1, 0], [-1, 0], [0, 1], [0, -1], "inf"]),
@@ -83,6 +85,8 @@ FILES = {
 FILE_COMMANDS = [
     ["invariants"],
     ["invariants", "--slocc"],
+    # the 1e-12 tolerance of the stand-alone SLOCC functions
+    ["invariants", "--slocc", "--tol", "1e-12"],
     ["invariants", "--lu"],
     ["invariants", "--tol", "1e-6"],
     ["invariants", "--oracle-check"],
