@@ -4,7 +4,8 @@ State files are JSON documents with fields ``n``, ``basis`` ("dicke" or
 "majorana") and either ``amplitudes`` (a list of [re, im] pairs ordered by
 ascending m) or ``points`` (a list of [re, im] pairs or the token "inf").
 Reports are JSON maps printed to stdout with every numeric rendered to 15
-significant digits, so the fields parse back to the printed values.
+significant digits, so the fields parse back to the printed values.  Every
+per-root field lists the roots in the order they were computed in.
 
 Exit codes: 0 success, 2 parse failure, 3 unsupported qubit count for a
 requested invariant or a polynomial, operator or SLUI coefficients beyond
@@ -30,7 +31,7 @@ from .oracle import (
     partial_trace,
     wootters_concurrence,
 )
-from .roots import DEFAULT_CLUSTER_TOL, cluster, degeneracy_class, find_roots, point_key
+from .roots import DEFAULT_CLUSTER_TOL, cluster, degeneracy_class, find_roots
 from .slocc import slocc_summary
 from .states import (
     MAX_QUBITS,
@@ -149,7 +150,7 @@ def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None,
 
 def state_document(state: SymmetricState, basis: str) -> dict:
     if basis == "majorana":
-        pts = sorted(find_roots(majorana_polynomial(state)), key=point_key)
+        pts = find_roots(majorana_polynomial(state))
         return {"n": state.n, "basis": "majorana", "points": [_point_json(p) for p in pts]}
     return {
         "n": state.n,
@@ -244,7 +245,7 @@ def cmd_invariants(args) -> int:
         sections["oracle"] = _oracle_section(state, g)
     report = {
         "n": state.n,
-        "roots": [_point_json(p) for p in sorted(pts, key=point_key)],
+        "roots": [_point_json(p) for p in pts],
         "points": [[_sig15(c) for c in v] for v in vecs],
         "gram": [[_sig15(c) for c in row] for row in g],
         **sections,
@@ -328,7 +329,7 @@ def cmd_roots(args) -> int:
     clusters = cluster(pts, args.tol)
     report = {
         "n": state.n,
-        "roots": [_point_json(p) for p in sorted(pts, key=point_key)],
+        "roots": [_point_json(p) for p in pts],
         "points": [[_sig15(c) for c in to_sphere(p)] for p in pts],
         "clusters": [
             {"root": _point_json(rep), "multiplicity": mult} for rep, mult in clusters

@@ -15,7 +15,7 @@ from .states import (
     to_sphere,
 )
 
-#: Default residual tolerance for find_roots (relative to coefficient scale).
+#: Residual bound of find_roots (relative to coefficient scale).
 DEFAULT_ROOT_TOL = 1e-8
 
 #: Default chordal threshold for multiplicity clustering.
@@ -69,19 +69,16 @@ def _scaled_residuals(asc: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.abs(np.where(outside, powers @ asc[::-1], powers @ asc))
 
 
-def find_roots(
-    poly: MajoranaPolynomial, tol: float = DEFAULT_ROOT_TOL
-) -> list[RiemannPoint]:
+def find_roots(poly: MajoranaPolynomial) -> list[RiemannPoint]:
     """All n roots of the polynomial, points at infinity included.
 
     Finite roots come from the companion-matrix eigenvalues of the trailing
     degree-d polynomial; those whose scaled residual (one array pass) lies
     above the machine-precision floor are polished with a few Newton steps;
     the remaining n - d roots are exact points at infinity.  Each finite root
-    satisfies the scaled residual bound |P(root)| <= tol * max|coefficient|.
+    satisfies the scaled residual bound
+    |P(root)| <= :data:`DEFAULT_ROOT_TOL` * max|coefficient|.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     coeffs = poly.coefficients
     scale = np.abs(coeffs).max()
     if scale == 0.0:
@@ -93,7 +90,7 @@ def find_roots(
         trailing = coeffs[: d + 1]
         raw = np.roots(trailing[::-1])
         res = _scaled_residuals(trailing, raw)
-        bound = tol * scale
+        bound = DEFAULT_ROOT_TOL * scale
         # polish to the machine-precision floor, not merely to the bound:
         # simple roots gain several digits over the raw eigenvalues
         floor = 64.0 * np.finfo(float).eps * scale

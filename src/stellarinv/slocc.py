@@ -220,7 +220,9 @@ class SloccInvariantSet:
     ``lambda_vector`` is None below three root groups; ``klein_j`` and
     ``canonical_lambda`` need four simple roots off the degenerate orbit;
     ``symmetrized`` holds the power sums unless they diverge, which is
-    flagged instead.
+    flagged instead.  ``lambda_vector`` is a chart coordinate that follows
+    the order of the roots, not an SLOCC invariant; the invariants are
+    ``klein_j`` and ``canonical_lambda`` at n = 4, and the power sums.
     """
 
     degeneracy: tuple[int, ...]

@@ -77,9 +77,6 @@ class RiemannPoint:
         """Image under alpha -> -1/conj(alpha), the sphere antipodal map."""
         return RiemannPoint(-self.b.conjugate(), self.a.conjugate())
 
-    def __complex__(self) -> complex:
-        return self.value
-
     def __repr__(self) -> str:
         if self.is_infinite:
             return "RiemannPoint(inf)"
@@ -180,10 +177,6 @@ class SymmetricState:
         amps = amps / norm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def spin(self) -> float:
-        return self.n / 2.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -216,11 +216,6 @@ class MobiusTransform:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def inverse(self) -> "MobiusTransform":
-        a, b = self.matrix[0]
-        c, d = self.matrix[1]
-        return MobiusTransform(np.array([[d, -b], [-c, a]]))
-
 
 def _ilo_factor(p: IloParameters) -> np.ndarray:
     """One-qubit factor exp(i h (S+/(b1+b2) + Sz - b1 b2 S-/(b1+b2)))."""

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -524,6 +525,50 @@ class TestRoots:
         np.testing.assert_allclose(doc["roots"][1], [1, 0], atol=1e-9)
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _json_point(entry):
+    if entry == "inf":
+        return stellarinv.RiemannPoint.infinity()
+    return stellarinv.RiemannPoint(complex(*entry))
+
+
+def _order_check_files(tmp_path):
+    """Random Dicke files at n = 4..8 and a majorana file with a root at infinity."""
+    rng = np.random.default_rng(5)
+    paths = [str(GOLDEN / "majorana5_inf.state.json")]
+    for n in range(4, 9):
+        for k in range(4):
+            doc = {"n": n, "basis": "dicke", "amplitudes": rng.normal(size=(n + 1, 2)).tolist()}
+            paths.append(write_state(tmp_path, f"r{n}_{k}.json", doc))
+    return paths
+
+
+class TestOneRootOrder:
+    """Every per-root field of a report lists the roots in one order."""
+
+    @pytest.mark.parametrize("command", ["invariants", "roots"])
+    def test_points_are_the_printed_roots(self, capsys, tmp_path, command):
+        for path in _order_check_files(tmp_path):
+            code, out, _ = run(capsys, command, path)
+            assert code == 0
+            doc = json.loads(out)
+            want = [stellarinv.to_sphere(_json_point(r)) for r in doc["roots"]]
+            np.testing.assert_allclose(doc["points"], want, rtol=0, atol=1e-12, err_msg=path)
+
+    def test_lambda_is_read_from_the_printed_roots(self, capsys, tmp_path):
+        for path in _order_check_files(tmp_path):
+            code, out, _ = run(capsys, "invariants", path, "--slocc")
+            assert code == 0
+            doc = json.loads(out)
+            want = stellarinv.lambda_vector([_json_point(r) for r in doc["roots"]])
+            got = [_json_point(p) for p in doc["slocc"]["lambda_vector"]]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert stellarinv.chordal_distance(g, w) <= 1e-12, path
+
+
 # Finite numbers from the ordinary range and from the extremes of the float
 # range; then values a state file may hold by mistake.
 _FLOATS = st.floats(-3, 3) | st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 1e12, 1e300, 1e308, -1e308])
@@ -607,3 +652,16 @@ def test_cli_diff_finds_no_difference_within_one_tree():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     assert re.fullmatch(r"0 of \d+ calls differ\n", out.stdout)
+
+
+def test_cli_diff_reports_fields():
+    spec = importlib.util.spec_from_file_location(
+        "cli_diff", Path(__file__).resolve().parents[1] / "tools" / "cli_diff.py"
+    )
+    cli_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_diff)
+    old = json.dumps({"n": 3, "roots": [[0, 0], "inf"], "gram": [1.0]})
+    new = json.dumps({"n": 3, "roots": ["inf", [0, 0]], "gram": [2.0]})
+    assert cli_diff.changes(old, new) == ["roots: permuted", "gram: [1.0] -> [2.0]"]
+    assert cli_diff.changes("{1,1}\n", "{2}\n") == ["'{1,1}\\n'", "-> '{2}\\n'"]
+    assert cli_diff.changes(None, old) == ["None", f"-> {old!r}"]

@@ -21,7 +21,7 @@ from stellarinv import (
     from_sphere,
     slocc_summary,
 )
-from stellarinv.roots import _eval_scaled, _scaled_residuals, single_linkage
+from stellarinv.roots import DEFAULT_ROOT_TOL, _eval_scaled, _scaled_residuals, single_linkage
 from stellarinv.states import projective_pairs
 
 EPS = np.finfo(float).eps
@@ -51,25 +51,20 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(poly([0, 0, 0]))
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            find_roots(poly([1, 1]), tol=0.0)
-
     def test_residuals_meet_bound(self):
         rng = np.random.default_rng(21)
-        tol = 1e-8
         for n in range(2, 13):
             c = rng.uniform(-1, 1, size=n + 1) + 1j * rng.uniform(-1, 1, size=n + 1)
             p = poly(c)
             scale = np.abs(c).max()
-            for r in find_roots(p, tol):
+            for r in find_roots(p):
                 if not r.is_infinite:
                     z = r.value
                     if abs(z) <= 1:
                         res = abs(np.polyval(c[::-1], z))
                     else:
                         res = abs(np.polyval(c, 1 / z))
-                    assert res <= tol * scale
+                    assert res <= DEFAULT_ROOT_TOL * scale
 
     def test_monic_reconstruction(self):
         # product over returned finite roots matches the monic input polynomial
@@ -85,11 +80,12 @@ class TestFindRoots:
                 monic = c / c[n]
                 np.testing.assert_allclose(rebuilt, monic, rtol=0, atol=1e-8 * np.abs(monic).max())
 
-    def test_tol_below_reach_raises(self):
+    def test_tol_below_reach_raises(self, monkeypatch):
+        monkeypatch.setattr("stellarinv.roots.DEFAULT_ROOT_TOL", 1e-300)
         rng = np.random.default_rng(26)
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
         with pytest.raises(ArithmeticError, match="exceeds bound"):
-            find_roots(poly(c), tol=1e-300)
+            find_roots(poly(c))
 
     def test_array_residuals_match_horner(self):
         # the polish gate reads the array pass, the polish itself the scalar one

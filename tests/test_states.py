@@ -67,16 +67,8 @@ class TestFromDicke:
         with pytest.raises(ValueError):
             st3.amplitudes[0] = 5.0
 
-    def test_spin_is_half_the_qubit_count(self):
-        assert from_dicke(3, [1, 0, 0, 1]).spin == 1.5
-
 
 class TestRiemannPoint:
-    def test_complex_is_the_finite_value(self):
-        assert complex(point(0.5 - 2j)) == 0.5 - 2j
-        with pytest.raises(ValueError, match="infinity"):
-            complex(inf_point())
-
     def test_repr(self):
         assert repr(point(0.5)) == "RiemannPoint((0.5+0j))"
         assert repr(inf_point()) == "RiemannPoint(inf)"

@@ -7,7 +7,9 @@ Each SRC is a directory that holds the ``stellarinv`` package, such as the
 ``stellarinv.cli.main`` in process over a fixed corpus of state files and
 commands and records, for every call, stdout, stderr, the exit code, the
 ``-o`` file and any exception that escapes ``main``.  Every call whose record
-differs between the trees is printed; the exit status is 1 if any does.
+differs between the trees is printed, with one line per differing top-level
+field where both sides of an output are JSON objects (``permuted`` when a
+list only changed order); the exit status is 1 if any call differs.
 """
 from __future__ import annotations
 
@@ -160,6 +162,39 @@ def run_tree(src: Path, workdir: Path, argvs: list[list[str]]) -> list[dict]:
     return json.loads(masked)
 
 
+def _object(text):
+    """The JSON object ``text`` holds, or None."""
+    try:
+        doc = json.loads(text)
+    except (TypeError, json.JSONDecodeError):
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def changes(old, new) -> list[str]:
+    """Lines that describe how a record entry changed: one per differing
+    top-level field when both sides are JSON objects, a list whose entries
+    only moved being marked ``permuted``; else the two values."""
+    raw = [repr(old), f"-> {new!r}"]
+    a, b = _object(old), _object(new)
+    if a is None or b is None:
+        return raw
+    lines = []
+    for field in [*a, *(f for f in b if f not in a)]:
+        x, y = a.get(field), b.get(field)
+        if x == y:
+            continue
+        if (
+            isinstance(x, list)
+            and isinstance(y, list)
+            and sorted(map(json.dumps, x)) == sorted(map(json.dumps, y))
+        ):
+            lines.append(f"{field}: permuted")
+        else:
+            lines.append(f"{field}: {json.dumps(x)} -> {json.dumps(y)}")
+    return lines or raw  # equal fields in other text
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
@@ -182,7 +217,7 @@ def main(argv: list[str]) -> int:
         print("$ stellarinv " + " ".join(argv))
         for key in a:
             if a[key] != b[key]:
-                print(f"  {key}: {a[key]!r}\n    -> {b[key]!r}")
+                print(f"  {key}:" + "".join(f"\n    {line}" for line in changes(a[key], b[key])))
     print(f"{differing} of {len(argvs)} calls differ")
     return 1 if differing else 0
 
