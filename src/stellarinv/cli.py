@@ -354,6 +354,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stellarinv",
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="chordal distance within which roots are the same (default %(default)s)",
     )
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    seed.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 

@@ -11,8 +11,10 @@ of several roots is a repeated root, a degenerate class of its own.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +32,12 @@ COINCIDENCE_TOL = 1e-12
 #: permutation sum.
 DIVERGENCE_THRESHOLD = 1e12
 
-#: Most ordered 4-tuples :func:`symmetrized_ik` evaluates at once.
+#: Most ordered 4-tuples :func:`symmetrized_ik` covers at once.
 _TUPLE_CHUNK = 1 << 16
+#: 4-subsets of the roots per chunk, each holding 24 ordered 4-tuples.
+_SUBSET_CHUNK = _TUPLE_CHUNK // 24
+#: Slots of a sorted 4-subset's members in its six orbit representatives.
+_ORBIT_SLOTS = [(0, *rest) for rest in itertools.permutations((1, 2, 3))]
 
 
 def as_point(value) -> RiemannPoint:
@@ -126,15 +132,14 @@ def lambda_vector(roots: Sequence[RiemannPoint]) -> list[RiemannPoint]:
     if single_linkage(pairs[:3], COINCIDENCE_TOL).max() < 2:
         raise ValueError("first three roots must be pairwise distinct")
     det, _ = projective_differences(pairs, pairs[:3])
-    return _lambdas(det, (0, 1, 2), range(3))
+    return _lambdas(det, (0, 1, 2))
 
 
-def _lambdas(det: np.ndarray, triple, cols) -> list[RiemannPoint]:
-    """cross_ratio(z, a2, a1, a3) of each root z off the triple, formed as the
-    symmetrized_ik terms of (a3, a2, a1) are, from ``det`` against ``cols``."""
-    a1, a2, a3 = triple
-    c1, c3 = cols.index(a1), cols.index(a3)
-    num, den = det[:, c1] * det[a2, c3], det[:, c3] * det[a2, c1]
+def _lambdas(det: np.ndarray, triple) -> list[RiemannPoint]:
+    """cross_ratio(z, a2, a1, a3) of each root z off the triple, from ``det``
+    against the triple's three columns."""
+    a2 = triple[1]
+    num, den = det[:, 0] * det[a2, 2], det[:, 2] * det[a2, 0]
     pairs = zip(num.tolist(), den.tolist())
     return [RiemannPoint(x, y) for i, (x, y) in enumerate(pairs) if i not in triple]
 
@@ -146,16 +151,24 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> complex:
     For each ordering the first three roots define the normalizing Moebius
     map and the fourth is evaluated through it.  Since the term depends only
     on the leading four slots, the sum runs over ordered 4-tuples weighted
-    by (n-4)!, which is exactly the full permutation sum.
+    by (n-4)!, which is exactly the full permutation sum.  A cross ratio is
+    unchanged by the Klein four-group of double transpositions of its
+    slots, so every term occurs four times among those tuples: the sum
+    evaluates one tuple per orbit, the one whose first slot holds the least
+    index, and weights it by 4 (n-4)!.
 
     Every term is read off one matrix of projective differences
-    det[x, y] = a_x b_y - a_y b_x.  The tuples are evaluated in chunks of
-    at most 2**16, so memory stays bounded at any n, and the real and
-    imaginary parts of each chunk are summed exactly with ``math.fsum``.
-    Up to n = 16 all tuples form one chunk, so the sum is exactly rounded
-    and does not depend on the order of the roots; beyond that each chunk
-    adds one rounding.  The roots are grouped at :data:`COINCIDENCE_TOL`,
-    as :func:`slocc_summary` groups them at its ``tol``: fewer than three
+    det[x, y] = a_x b_y - b_x a_y.  Its complex products, and those of each
+    term's numerator and denominator, are formed from real products each
+    rounded once, never fused, so the four members of an orbit give the
+    same bits and the sum equals the one over every tuple exactly.  The
+    tuples are evaluated in chunks that cover at most 2**16 ordered tuples,
+    so memory stays bounded at any n, and the real and imaginary parts of
+    each chunk are summed exactly with ``math.fsum``.  Up to n = 17 all
+    tuples form one chunk, so the sum is exactly rounded and does not
+    depend on the order of the roots; beyond that each chunk adds one
+    rounding.  The roots are grouped at :data:`COINCIDENCE_TOL`, as
+    :func:`slocc_summary` groups them at its ``tol``: fewer than three
     groups raise ``ValueError`` (no ordering has a triple to normalize by),
     and a group of several, a repeated root, raises ``DivergentSumError``.
     """
@@ -169,27 +182,77 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> complex:
         raise ValueError("fewer than three distinct roots: no valid ordering")
     if groups < len(pairs):
         raise DivergentSumError("a repeated root puts some ordering on a pole")
-    det, _ = projective_differences(pairs, pairs)
-    return _power_sums(det, (k,))[k]
+    return _power_sums(pairs, (k,))[k]
 
 
-def _power_sums(det: np.ndarray, powers: Sequence[int]) -> dict[int, complex]:
-    """symmetrized_ik of n >= 4 simple roots by power, from one 4-tuple pass."""
-    n = len(det)
-    # leading triples (i1, i2, i3) in chunks, each against every other i4
-    i4 = np.arange(n)[:, None]
-    triples = n**3
-    step = max(1, _TUPLE_CHUNK // n)
+def _times(xr, xi, yr, yi):
+    """Real and imaginary parts of (xr + i xi)(yr + i yi), each from two real
+    products rounded once.
+
+    numpy's complex multiply may fuse a product into an FMA, so that x * y
+    and y * x differ in the last bit; these parts are the same both ways.
+    """
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _differences(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the power sums' projective differences
+    det[x, y] = a_x b_y - b_x a_y.
+
+    Both products come from :func:`_times`, so each entry depends only on
+    its two points and det[y, x] is -det[x, y] to the bit, up to the sign
+    of an exact zero.
+    """
+    a, b = pairs.T
+    re, im = _times(a.real[:, None], a.imag[:, None], b.real, b.imag)
+    return re - re.T, im - im.T
+
+
+@lru_cache(maxsize=8)
+def _orbit_factors(n: int, start: int) -> tuple[np.ndarray, ...]:
+    """Flat positions in an n x n array of det[i4, i1], det[i2, i3],
+    det[i4, i3] and det[i2, i1] over one tuple (i1, i2, i3, i4) per Klein-four
+    orbit, for the :data:`_SUBSET_CHUNK` 4-subsets of range(n) from colex
+    rank ``start`` on.
+
+    The orbit of a tuple of distinct indices has one member whose first slot
+    holds the least index; each 4-subset gives six, its least member first
+    and the other three in every order.  The arrays are read-only, since the
+    cache hands them to every caller; eight of them take at most 4 MiB.
+    """
+    rank = np.arange(start, min(start + _SUBSET_CHUNK, math.comb(n, 4)))
+    members = []
+    # rank = C(c4, 4) + C(c3, 3) + C(c2, 2) + C(c1, 1) with c4 > c3 > c2 > c1
+    for k in (4, 3, 2, 1):
+        binom = np.array([math.comb(c, k) for c in range(n)])
+        c = np.searchsorted(binom, rank, side="right") - 1
+        rank = rank - binom[c]
+        members.insert(0, c)
+    i1, i2, i3, i4 = np.stack(members, axis=1)[:, _ORBIT_SLOTS].reshape(-1, 4).T
+    positions = (i4 * n + i1, i2 * n + i3, i4 * n + i3, i2 * n + i1)
+    for p in positions:
+        p.flags.writeable = False
+    return positions
+
+
+def _power_sums(pairs: np.ndarray, powers: Sequence[int]) -> dict[int, complex]:
+    """symmetrized_ik of n >= 4 simple roots by power, from one pass over the
+    Klein-four orbit representatives of :func:`_orbit_factors`.
+
+    Over :func:`_differences`, with num and den from :func:`_times`, the four
+    members of an orbit have the same num and den bits, so they agree on the
+    divergence test and on their terms: the representatives' sum weighted by
+    4 (n-4)! is the sum over every tuple weighted by (n-4)!, exactly.
+    """
+    n = len(pairs)
+    det_re, det_im = (part.ravel() for part in _differences(pairs))
     parts: dict[int, tuple[list[float], list[float]]] = {k: ([], []) for k in powers}
-    for start in range(0, triples, step):
-        i1, i2, i3 = np.unravel_index(
-            np.arange(start, min(start + step, triples)), (n, n, n)
-        )
-        lead = (i1 != i2) & (i1 != i3) & (i2 != i3)
-        i1, i2, i3 = i1[lead], i2[lead], i3[lead]
-        other = (i4 != i1) & (i4 != i2) & (i4 != i3)
-        num = (det[:, i1] * det[i2, i3])[other]
-        den = (det[:, i3] * det[i2, i1])[other]
+    for start in range(0, math.comb(n, 4), _SUBSET_CHUNK):
+        p41, p23, p43, p21 = _orbit_factors(n, start)
+        num = np.empty(len(p41), complex)
+        den = np.empty_like(num)
+        num.real, num.imag = _times(det_re[p41], det_im[p41], det_re[p23], det_im[p23])
+        den.real, den.imag = _times(det_re[p43], det_im[p43], det_re[p21], det_im[p21])
         if np.any(abs(den) * DIVERGENCE_THRESHOLD <= abs(num)):
             raise DivergentSumError(
                 "transformed cross ratio exceeds the divergence threshold"
@@ -199,7 +262,7 @@ def _power_sums(det: np.ndarray, powers: Sequence[int]) -> dict[int, complex]:
             terms = ratio**k
             re_parts.append(math.fsum(terms.real.tolist()))
             im_parts.append(math.fsum(terms.imag.tolist()))
-    weight = math.factorial(n - 4)
+    weight = 4 * math.factorial(n - 4)
     return {k: complex(math.fsum(re), math.fsum(im)) * weight for k, (re, im) in parts.items()}
 
 
@@ -246,8 +309,11 @@ def slocc_summary(
 
     Single linkage at ``tol`` decides every field: the triple is the first
     member of each of the first three groups, and a multiple root leaves J
-    unset and the power sums divergent.  Lambda and the power sums read one
-    difference array, of n columns with the power sums, else three.
+    unset and the power sums divergent.  Lambda reads the (n, 3) array of
+    projective differences against the triple; the power sums, up to
+    :data:`MAX_POWER_SUM_N` roots, form their own n x n array as
+    :func:`symmetrized_ik` does, one pass giving both :data:`SUMMARY_POWERS`
+    with the bits of a :func:`symmetrized_ik` call that groups alike.
     """
     pairs = projective_pairs(map(as_point, roots))
     n = len(pairs)
@@ -260,9 +326,8 @@ def slocc_summary(
     divergent = False
     if n >= 4 and len(signature) >= 3:
         triple = np.unique(labels, return_index=True)[1][:3].tolist()
-        cols = list(range(n)) if n <= MAX_POWER_SUM_N else triple
-        det, _ = projective_differences(pairs, pairs[cols])
-        lam_vec = _lambdas(det, triple, cols)
+        det, _ = projective_differences(pairs, pairs[triple])
+        lam_vec = _lambdas(det, triple)
         if n == 4 and simple:
             try:
                 kj = klein_j(lam_vec[0])
@@ -273,7 +338,7 @@ def slocc_summary(
             divergent = not simple
             if simple:
                 try:
-                    sums = _power_sums(det, SUMMARY_POWERS)
+                    sums = _power_sums(pairs, SUMMARY_POWERS)
                 except DivergentSumError:
                     divergent = True
     return SloccInvariantSet(

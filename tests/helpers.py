@@ -1,4 +1,6 @@
 """Shared sampling and comparison helpers for the test suite."""
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +15,8 @@ from stellarinv import (
     majorana_polynomial,
     SphereVector,
 )
+from stellarinv.errors import DivergentSumError
+from stellarinv.slocc import DIVERGENCE_THRESHOLD
 
 
 def random_state(rng, n):
@@ -110,6 +114,37 @@ def reference_linkage(points, tol):
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def reference_power_sums(points, powers):
+    """Permutation power sums I_k by power, from one ``math.fsum`` over every
+    ordered 4-tuple of the points, weighted by (n-4)!.
+
+    The reference for ``slocc.symmetrized_ik``, which sums one tuple per
+    Klein-four orbit.  Every projective difference a_x b_y - b_x a_y and
+    every term's numerator and denominator is formed on its own from real
+    products rounded once, as the program forms them, and the divergence
+    test, the ratios and the powers run in numpy, as there.
+    """
+
+    def times(x, y):
+        return complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
+
+    pairs = [(p.a, p.b) for p in points]
+    det = [[times(a, d) - times(b, c) for c, d in pairs] for a, b in pairs]
+    num, den = [], []
+    for i1, i2, i3, i4 in itertools.permutations(range(len(pairs)), 4):
+        num.append(times(det[i4][i1], det[i2][i3]))
+        den.append(times(det[i4][i3], det[i2][i1]))
+    num, den = np.array(num), np.array(den)
+    if np.any(abs(den) * DIVERGENCE_THRESHOLD <= abs(num)):
+        raise DivergentSumError("a term passes the divergence threshold")
+    weight = math.factorial(len(pairs) - 4)
+    sums = {}
+    for k in powers:
+        terms = (num / den) ** k
+        sums[k] = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) * weight
+    return sums
 
 
 def assert_multisets_close(ps, qs, tol):

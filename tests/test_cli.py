@@ -355,6 +355,26 @@ class TestFlags:
             assert "--tol" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["--lu-random", "--ilo-random"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_exits_2(self, capsys, tmp_path, mode, seed):
+        out = tmp_path / "t.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", ghz3_file(tmp_path), mode, "--seed", seed, "-o", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--lu-random", "--ilo-random"])
+    def test_seed_beyond_64_bits_is_accepted(self, capsys, tmp_path, mode):
+        out = str(tmp_path / "t.json")
+        src = ghz3_file(tmp_path)
+        code, _, err = run(capsys, "transform", src, mode, "--seed", "9" * 20, "-o", out)
+        assert code == 0, err
+        assert json.loads(Path(out).read_text())["n"] == 3
+
     def test_classify_has_no_output_flag(self, capsys, tmp_path):
         out = tmp_path / "cls.txt"
         with pytest.raises(SystemExit) as exc:

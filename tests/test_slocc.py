@@ -6,7 +6,15 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import inf_point, multiset_distance, point, random_points, reference_linkage
+from helpers import (
+    inf_point,
+    multiset_distance,
+    point,
+    random_points,
+    reference_linkage,
+    reference_power_sums,
+    signed_zero_complex,
+)
 from stellarinv import (
     DegenerateInputError,
     DivergentSumError,
@@ -313,9 +321,9 @@ class TestSymmetrizedIk:
                 assert abs(res - want) <= 1e-12 * abs(want)
 
     def test_root_order_leaves_value_bit_identical(self):
-        # up to n = 16 every tuple is summed exactly in one fsum
+        # up to n = 17 every tuple is summed exactly in one fsum
         rng = np.random.default_rng(53)
-        for n in (8, 16):
+        for n in (8, 16, 4, 5, 6, 7, 12):
             pts = random_points(rng, n, min_sep=0.2)
             shuffled = [pts[i] for i in rng.permutation(n)]
             for k in (2, 4):
@@ -374,6 +382,58 @@ class TestSymmetrizedIk:
         assert summary.degeneracy == (3, 1)
         assert summary.lambda_vector is None and summary.klein_j is None
         assert summary.symmetrized == {} and not summary.divergent
+
+
+def bits(part):
+    """The bits of a real array, an exact zero read as +0."""
+    return (part + 0.0).view(np.uint64)
+
+
+class TestPowerSumDifferences:
+    @seed(77)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(signed_zero_complex, signed_zero_complex), min_size=1, max_size=9),
+        data=st.data(),
+    )
+    def test_antisymmetric_and_permuted_with_the_pairs(self, pairs, data):
+        pairs = np.array(pairs, dtype=complex)
+        parts = slocc._differences(pairs)
+        for part in parts:
+            assert np.array_equal(bits(part), bits(-part.T))
+        perm = data.draw(st.permutations(range(len(pairs))))
+        for part, moved in zip(parts, slocc._differences(pairs[perm])):
+            assert np.array_equal(moved.view(np.uint64), part[np.ix_(perm, perm)].view(np.uint64))
+
+
+@st.composite
+def spread_roots(draw):
+    """4..8 roots at least 0.15 apart: distinct points of the grid (Z + iZ) / 4
+    in [-1.5, 1.5]^2, some moved off it by up to 0.05, one maybe at infinity."""
+    cells = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    jitter = st.just(0.0) | st.floats(-0.05, 0.05)
+    pts = [
+        point(complex(x, y) / 4 + complex(draw(jitter), draw(jitter)))
+        for x, y in draw(st.lists(cells, min_size=4, max_size=8, unique=True))
+    ]
+    if draw(st.booleans()):
+        pts[draw(st.integers(0, len(pts) - 1))] = inf_point()
+    return pts
+
+
+class TestOneTermPerKleinFourOrbit:
+    @seed(78)
+    @settings(max_examples=60, deadline=None)
+    @given(pts=spread_roots())
+    @example(pts=[point(z) for z in (0, 1, -1, 2, 0.5, -3)])
+    @example(pts=[point(z) for z in (0, 1j, 1, 2 + 1j, -1)] + [inf_point()])
+    @example(pts=ghz4_roots())
+    def test_equals_the_sum_over_every_tuple(self, pts):
+        # == on floats compares bits, save the sign of a zero
+        want = reference_power_sums(pts, (1, 2, 3, 4))
+        for k, value in want.items():
+            assert symmetrized_ik(pts, k) == value
+        assert slocc_summary(pts).symmetrized == {k: want[k] for k in SUMMARY_POWERS}
 
 
 def summary_cases():

@@ -56,6 +56,13 @@ FILES = {
     # steps of about 9e-8 chordal, ends 1.8e-7 apart: linked only through the middle
     "tol_chain.json": _majorana([[0, 0], [4.5e-8, 0], [9e-8, 0], [1, 0], [-1, 0]]),
     "blocks150.json": _majorana(BLOCKS),
+    # generic roots at n = 6 and, with a root at infinity, at n = 7
+    "majorana6.json": _majorana(
+        [[0.3, -0.7], [1.2, 0.4], [-0.8, 0.9], [-1.1, -0.5], [0.1, 1.6], [2.0, -0.2]]
+    ),
+    "majorana7_inf.json": _majorana(
+        [[0.5, 0.25], [-1.3, 0.6], [0.9, -1.1], [-0.2, -0.8], [1.7, 1.2], [-0.6, 1.9], "inf"]
+    ),
     "zeros_and_infinities.json": _majorana([[0, 0], [0, 0], [0, 0], "inf", "inf", "inf"]),
     "double_zero.json": _majorana([[0, 0], [0, 0], [1, 0], [2, 0]]),
     # expands to coefficients beyond the float range
