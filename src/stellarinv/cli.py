@@ -24,13 +24,7 @@ import numpy as np
 from . import families
 from .errors import DegenerateInputError, DivergentSumError
 from .lu import bloch_radius2, concurrence2, gram, lu_invariants3, slui_coefficients
-from .oracle import (
-    density_matrix,
-    dicke_expand,
-    oracle_lu_invariants3,
-    partial_trace,
-    wootters_concurrence,
-)
+from .oracle import dicke_expand, oracle_lu_invariants3, partial_trace, wootters_concurrence
 from .roots import DEFAULT_CLUSTER_TOL, cluster, degeneracy_class, find_roots
 from .slocc import slocc_summary
 from .states import (
@@ -205,7 +199,7 @@ def _oracle_section(state, g):
     dense = dicke_expand(state)
     if state.n == 2:
         v12 = float(g[0, 1])
-        rho1 = partial_trace(density_matrix(dense), [1])
+        rho1 = partial_trace(dense, [1])
         radius_sq = float(2.0 * np.trace(rho1 @ rho1).real - 1.0)
         woot = wootters_concurrence(dense)
         dev = max(abs(woot - concurrence2(v12)), abs(radius_sq - bloch_radius2(v12)))
@@ -238,7 +232,8 @@ def cmd_invariants(args) -> int:
         summary = slocc_summary(pts, args.tol)
         if args.slocc and state.n == 4 and summary.klein_j is None:
             raise DegenerateInputError(
-                "repeated roots put the cross ratio on the degenerate orbit {0, 1, inf}"
+                "a repeated root, or roots close enough that the cross ratio passes 1e12"
+                " and is stored as inf, put the cross ratio on the degenerate orbit {0, 1, inf}"
             )
         sections["slocc"] = _slocc_section(summary)
     if args.oracle_check:

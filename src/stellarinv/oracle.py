@@ -3,9 +3,10 @@
 Symmetric states are expanded into dense computational-basis vectors and
 the invariants are evaluated from their textbook definitions (reduced
 density matrices, spin-flip concurrence, hyperdeterminant 3-tangle),
-independently of any stellar-geometry formula.  Every function on a 2^n
-register lives here.  Qubit 1 is the most significant bit of the basis
-index, and the bit count of an index is its Dicke index.
+independently of any stellar-geometry formula.  Every input is a pure
+state vector, and nothing here allocates a 2^n x 2^n matrix.  Every
+function on a 2^n register lives here.  Qubit 1 is the most significant
+bit of the basis index, and the bit count of an index is its Dicke index.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from .states import SymmetricState, binomial_factors
 MAX_DENSE_QUBITS = 14
 
 _NORM_TOL = 1e-10
-
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def _qubit_count(dim: int) -> int:
@@ -84,32 +83,26 @@ def y_theta(theta: float, u1, u2, u3) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def density_matrix(t: np.ndarray) -> np.ndarray:
-    """Pure-state density matrix |t><t|."""
-    t = np.asarray(t, dtype=complex)
-    return np.outer(t, t.conj())
+def partial_trace(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix of the dense state vector ``t`` over the
+    1-based qubit indices in ``keep``.
 
-
-def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix over the 1-based qubit indices in ``keep``.
-
-    Qubit 1 is the most significant bit.  The kept subsystem keeps its
-    internal ordering; the trace is exact and preserves the total trace.
+    Qubit 1 is the most significant bit.  The kept qubits, in ascending
+    order, are moved to the front and the vector is read as a
+    2^k x 2^(n-k) matrix m; the reduced state is m m^dagger.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = _qubit_count(rho.shape[0])
+    t = np.asarray(t, dtype=complex)
+    if t.ndim != 1:
+        raise ValueError("expected a dense state vector")
+    n = _qubit_count(t.size)
     keep0 = sorted({int(q) - 1 for q in keep})
     if not keep0 or keep0[0] < 0 or keep0[-1] >= n:
         raise ValueError(f"keep must be a non-empty subset of 1..{n}")
     if len(keep0) != len(keep):
         raise ValueError("keep contains duplicate indices")
-    reshaped = rho.reshape((2,) * (2 * n))
-    bra = list(range(n))
-    ket = [i + n if i in keep0 else i for i in range(n)]
-    out_axes = keep0 + [i + n for i in keep0]
-    reduced = np.einsum(reshaped, bra + ket, out_axes)
-    dim = 2 ** len(keep0)
-    return reduced.reshape(dim, dim)
+    order = keep0 + [i for i in range(n) if i not in keep0]
+    m = t.reshape((2,) * n).transpose(order).reshape(2 ** len(keep0), -1)
+    return m @ m.conj().T
 
 
 def _check_normalized(t: np.ndarray, n: int) -> np.ndarray:
@@ -152,17 +145,16 @@ def three_tangle(t: np.ndarray) -> float:
 def oracle_lu_invariants3(t: np.ndarray) -> LuInvariantSet:
     """The six LU invariants of a dense 3-qubit state from first principles.
 
-    I1 = Tr[rho]; I2..I4 are the single-qubit purities 2 Tr[rho_i^2] - 1;
+    I1 = <t|t>; I2..I4 are the single-qubit purities 2 Tr[rho_i^2] - 1;
     I5 = Tr[3 (rho_1 x rho_2) rho_12] - Tr[rho_1^3] - Tr[rho_2^3] (the
     degree-6 invariant); I6 is the 3-tangle.
     """
     t = _check_normalized(t, 3)
-    rho = density_matrix(t)
-    r1 = partial_trace(rho, [1])
-    r2 = partial_trace(rho, [2])
-    r3 = partial_trace(rho, [3])
-    r12 = partial_trace(rho, [1, 2])
-    i1 = float(np.trace(rho).real)
+    r1 = partial_trace(t, [1])
+    r2 = partial_trace(t, [2])
+    r3 = partial_trace(t, [3])
+    r12 = partial_trace(t, [1, 2])
+    i1 = float(np.vdot(t, t).real)
     i2 = float(2.0 * np.trace(r1 @ r1).real - 1.0)
     i3 = float(2.0 * np.trace(r2 @ r2).real - 1.0)
     i4 = float(2.0 * np.trace(r3 @ r3).real - 1.0)
@@ -177,17 +169,10 @@ def oracle_lu_invariants3(t: np.ndarray) -> LuInvariantSet:
 
 
 def wootters_concurrence(t: np.ndarray) -> float:
-    """Concurrence of a dense 2-qubit state via the spin-flip construction.
+    """Concurrence of a dense pure 2-qubit state.
 
-    C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of
-    the eigenvalues of rho (sy x sy) conj(rho) (sy x sy).  That product is
-    similar to M M^dagger with M = sqrt(rho) (sy x sy) conj(sqrt(rho)), and
-    for the pure states handled here sqrt(rho) = rho, so the l_i are read
-    off as the singular values of rho (sy x sy) conj(rho); this avoids the
-    sqrt(eps) noise floor of the raw eigenvalue route.
+    The spin-flip overlap C = |<t| sy x sy |t*>| = 2 |t00 t11 - t01 t10|
+    (Hill & Wootters, PRL 78, 5022, 1997).
     """
     t = _check_normalized(t, 2)
-    rho = density_matrix(t)
-    yy = np.kron(_SIGMA_Y, _SIGMA_Y)
-    lam = np.linalg.svd(rho @ yy @ rho.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(2.0 * abs(t[0] * t[3] - t[1] * t[2]))

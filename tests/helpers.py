@@ -223,3 +223,34 @@ def reference_time_reversal_dense(t):
         w = bin(x).count("1")
         out[full ^ x] = (-1) ** (n + w) * np.conj(t[x])
     return out
+
+
+def reference_partial_trace(rho, keep):
+    """Reduced density matrix of a 2^n x 2^n density matrix over the 1-based
+    qubits in ``keep``, by one einsum over its 2n axes.
+
+    The reference for ``oracle.partial_trace``, which reduces the state vector.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    n = rho.shape[0].bit_length() - 1
+    keep0 = sorted(int(q) - 1 for q in keep)
+    bra = list(range(n))
+    ket = [i + n if i in keep0 else i for i in range(n)]
+    reduced = np.einsum(rho.reshape((2,) * (2 * n)), bra + ket, keep0 + [i + n for i in keep0])
+    dim = 2 ** len(keep0)
+    return reduced.reshape(dim, dim)
+
+
+def reference_concurrence(t):
+    """Wootters concurrence of a pure 2-qubit vector by the spin-flip route.
+
+    C = max(0, l1 - l2 - l3 - l4) with l_i the descending singular values of
+    rho (sy x sy) conj(rho), rho = |t><t| (for a pure state sqrt(rho) = rho).
+    The reference for ``oracle.wootters_concurrence``.
+    """
+    t = np.asarray(t, dtype=complex)
+    rho = np.outer(t, t.conj())
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    yy = np.kron(sy, sy)
+    lam = np.linalg.svd(rho @ yy @ rho.conj(), compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

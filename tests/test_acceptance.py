@@ -28,7 +28,6 @@ from stellarinv import (
     chordal_distance,
     concurrence2,
     degeneracy_class,
-    density_matrix,
     dicke_expand,
     find_roots,
     from_sphere,
@@ -105,7 +104,7 @@ def test_criterion_02_two_qubit_formulas():
         v12 = np.dot(to_sphere(p), to_sphere(q))
         dense = dicke_expand(state)
         assert abs(concurrence2(v12) - wootters_concurrence(dense)) <= 1e-9
-        rho1 = partial_trace(density_matrix(dense), [1])
+        rho1 = partial_trace(dense, [1])
         radius_sq = 2.0 * np.trace(rho1 @ rho1).real - 1.0
         assert abs(bloch_radius2(v12) - radius_sq) <= 1e-9
 

@@ -294,6 +294,23 @@ class TestInvariants:
         assert code == 4
         assert "degenerate" in err
 
+    def test_close_pairs_exit_4_names_the_cross_ratio_cause(self, capsys, tmp_path):
+        # four simple roots at --tol, in two pairs 2e-7 apart: lambda is about
+        # -2.5e13, which the 1e-12 infinity rule of RiemannPoint stores as inf
+        path = write_state(
+            tmp_path,
+            "pairs.json",
+            {"n": 4, "basis": "majorana", "points": [[0, 0], [2e-7, 0], [1, 0], [1.0000002, 0]]},
+        )
+        code, out, _ = run(capsys, "invariants", path)
+        assert code == 0
+        slocc = json.loads(out)["slocc"]
+        assert (slocc["degeneracy"], slocc["lambda_vector"]) == ([1, 1, 1, 1], ["inf"])
+        code, out, err = run(capsys, "invariants", path, "--slocc")
+        assert (code, out) == (4, "")
+        assert "a repeated root" in err
+        assert "cross ratio passes 1e12" in err
+
     @pytest.mark.parametrize("extra", [[], [[-2, 1]]], ids=["n4", "n5"])
     def test_near_coincident_chain_exits_0(self, capsys, tmp_path, extra):
         # 0 ~ 4e-13 ~ 8e-13 is one triple root at --tol: at n = 4 that leaves

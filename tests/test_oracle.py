@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -11,6 +13,8 @@ from helpers import (
     random_qubit,
     random_state,
     reference_bit_weights,
+    reference_concurrence,
+    reference_partial_trace,
     reference_time_reversal_dense,
     roots_of,
     signed_zero_complex,
@@ -18,7 +22,6 @@ from helpers import (
 from stellarinv import (
     bloch_radius2,
     concurrence2,
-    density_matrix,
     dicke_expand,
     from_dicke,
     ghz_state,
@@ -106,46 +109,46 @@ class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(73)
         a, b = random_qubit(rng), random_qubit(rng)
-        rho = density_matrix(np.kron(a, b))
-        np.testing.assert_allclose(partial_trace(rho, [1]), np.outer(a, a.conj()), atol=1e-14)
-        np.testing.assert_allclose(partial_trace(rho, [2]), np.outer(b, b.conj()), atol=1e-14)
+        t = np.kron(a, b)
+        np.testing.assert_allclose(partial_trace(t, [1]), np.outer(a, a.conj()), atol=1e-14)
+        np.testing.assert_allclose(partial_trace(t, [2]), np.outer(b, b.conj()), atol=1e-14)
 
     def test_ghz_single_qubit_is_maximally_mixed(self):
-        rho = density_matrix(dicke_expand(ghz_state(3)))
-        r1 = partial_trace(rho, [1])
+        t = dicke_expand(ghz_state(3))
+        r1 = partial_trace(t, [1])
         np.testing.assert_allclose(r1, np.eye(2) / 2, atol=1e-14)
         np.testing.assert_allclose(np.trace(r1 @ r1).real, 0.5, atol=1e-14)
 
     def test_w_single_qubit_purity(self):
-        rho = density_matrix(dicke_expand(w_state(3)))
-        purity = np.trace(np.linalg.matrix_power(partial_trace(rho, [1]), 2)).real
+        t = dicke_expand(w_state(3))
+        purity = np.trace(np.linalg.matrix_power(partial_trace(t, [1]), 2)).real
         np.testing.assert_allclose(purity, 5 / 9, atol=1e-14)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(74)
-        rho = density_matrix(dicke_expand(random_state(rng, 4)))
+        t = dicke_expand(random_state(rng, 4))
         for keep in ([1], [2, 3], [1, 4], [1, 2, 3, 4]):
             np.testing.assert_allclose(
-                np.trace(partial_trace(rho, keep)).real, 1.0, atol=1e-12
+                np.trace(partial_trace(t, keep)).real, 1.0, atol=1e-12
             )
 
     @pytest.mark.parametrize("size", [0, 3, 6])
     def test_dimension_not_a_power_of_two_rejected(self, size):
         with pytest.raises(ValueError, match="power of two"):
-            partial_trace(np.zeros((size, size)), [1])
+            partial_trace(np.zeros(size), [1])
 
     def test_bad_index_sets(self):
-        rho = density_matrix(dicke_expand(ghz_state(3)))
+        t = dicke_expand(ghz_state(3))
         for keep in ([], [0], [4], [1, 1]):
             with pytest.raises(ValueError):
-                partial_trace(rho, keep)
+                partial_trace(t, keep)
 
     def test_density_matrix_invariants(self):
         rng = np.random.default_rng(75)
         for _ in range(10):
-            rho = density_matrix(dicke_expand(random_state(rng, 4)))
+            t = dicke_expand(random_state(rng, 4))
             for keep in ([1], [2], [1, 3]):
-                red = partial_trace(rho, keep)
+                red = partial_trace(t, keep)
                 np.testing.assert_allclose(red, red.conj().T, atol=1e-12)
                 np.testing.assert_allclose(np.trace(red).real, 1.0, atol=1e-12)
                 assert np.linalg.eigvalsh(red).min() >= -1e-10
@@ -154,11 +157,40 @@ class TestPartialTrace:
         rng = np.random.default_rng(76)
         for _ in range(20):
             n = int(rng.integers(2, 6))
-            rho = density_matrix(dicke_expand(random_state(rng, n)))
+            t = dicke_expand(random_state(rng, n))
             for q in range(1, n + 1):
-                red = partial_trace(rho, [q])
+                red = partial_trace(t, [q])
                 purity = np.trace(red @ red).real
                 assert 0.5 - 1e-12 <= purity <= 1.0 + 1e-12
+
+    def test_matches_the_density_matrix_reference(self):
+        rng = np.random.default_rng(82)
+        for n in range(1, 7):
+            t = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            t /= np.linalg.norm(t)
+            rho = np.outer(t, t.conj())
+            for k in range(1, n + 1):
+                for keep in itertools.combinations(range(1, n + 1), k):
+                    np.testing.assert_allclose(
+                        partial_trace(t, keep), reference_partial_trace(rho, keep), atol=1e-14
+                    )
+
+    def test_matrix_input_rejected(self):
+        # a 4 x 4 density matrix has the length of a 4-qubit vector
+        t = dicke_expand(ghz_state(2))
+        with pytest.raises(ValueError, match="state vector"):
+            partial_trace(np.outer(t, t.conj()), [1])
+
+    def test_ghz14_reduction_stays_below_one_mib(self):
+        t = dicke_expand(ghz_state(14))
+        tracemalloc.start()
+        try:
+            red = partial_trace(t, [1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes"
+        np.testing.assert_allclose(red, np.diag([0.5, 0, 0, 0.5]), atol=1e-15)
 
 
 class TestOracleInvariants:
@@ -240,9 +272,36 @@ class TestWoottersConcurrence:
             np.testing.assert_allclose(
                 wootters_concurrence(dense), concurrence2(v12), atol=1e-9
             )
-            rho1 = partial_trace(density_matrix(dense), [1])
+            rho1 = partial_trace(dense, [1])
             radius_sq = 2 * np.trace(rho1 @ rho1).real - 1
             np.testing.assert_allclose(bloch_radius2(v12), radius_sq, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.array([0, 1, 1, 0]) / SQ2,
+            np.array([1, 1j, -1, -1j]) / 2,
+            np.array([1.0, 0, 0, 5e-9]) / np.sqrt(1 + 25e-18),
+        ],
+        ids=["bell", "product", "near_separable"],
+    )
+    def test_matches_the_spin_flip_reference(self, t):
+        np.testing.assert_allclose(wootters_concurrence(t), reference_concurrence(t), atol=1e-15)
+
+    def test_random_states_match_the_spin_flip_reference(self):
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            t = rng.normal(size=4) + 1j * rng.normal(size=4)
+            t /= np.linalg.norm(t)
+            np.testing.assert_allclose(
+                wootters_concurrence(t), reference_concurrence(t), atol=1e-15
+            )
+
+    def test_near_separable_value(self):
+        # |00> + eps |11>, normalized: C = 2 eps / (1 + eps^2), about 1e-8
+        eps = 5e-9
+        t = np.array([1.0, 0, 0, eps]) / np.sqrt(1 + eps**2)
+        np.testing.assert_allclose(wootters_concurrence(t), 2 * eps / (1 + eps**2), rtol=1e-14)
 
 
 class TestThreeTangle:

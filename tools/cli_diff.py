@@ -79,6 +79,15 @@ FILES = {
         "basis": "dicke",
         "amplitudes": [[5e-324, 0], [0, 0], [0, 0]],
     },
+    # a generic two-qubit state: the oracle's reduced state and concurrence
+    "dicke2.json": {
+        "n": 2,
+        "basis": "dicke",
+        "amplitudes": [[0.42, -0.17], [-0.31, 0.58], [0.23, 0.51]],
+    },
+    # four simple roots in two pairs 2e-7 apart: lambda is about -2.5e13,
+    # past the 1e12 at which a point is stored as infinity
+    "close_pairs.json": _majorana([[0, 0], [2e-7, 0], [1, 0], [1.0000002, 0]]),
     # roots 1 and 3 are one exact double root
     "double_root_n4.json": _majorana(
         [
