@@ -263,9 +263,9 @@ def cmd_classify(args) -> int:
 
 def cmd_transform(args) -> int:
     state, _, basis = load_document(args.file)
-    rng = np.random.default_rng(args.seed)
     if args.mode == "lu-random":
         # uniform rotation axis, angle uniform in [0, pi]
+        rng = np.random.default_rng(args.seed)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         h = axis * rng.uniform(0.0, np.pi)
@@ -273,6 +273,8 @@ def cmd_transform(args) -> int:
     elif args.mode == "ilo-random":
         # unit-disk parameter draws, rejected against the domain bounds and
         # a moderate Moebius part
+        rng = np.random.default_rng(args.seed)
+
         def disk():
             while True:
                 z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))

@@ -254,3 +254,37 @@ def reference_concurrence(t):
     yy = np.kron(sy, sy)
     lam = np.linalg.svd(rho @ yy @ rho.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def reference_three_tangle(t):
+    """3-tangle 4 |d1 - 2 d2 + 4 d3| of a pure 3-qubit vector, Cayley's
+    hyperdeterminant written out as its 14 amplitude products (Coffman,
+    Kundu & Wootters, PRA 61, 052306, 2000).
+
+    The reference for ``oracle.three_tangle``, which reads the same
+    hyperdeterminant off three 2x2 determinants.
+    """
+    t = np.asarray(t, dtype=complex)
+
+    def g(i, j, k):
+        return t[(i << 2) | (j << 1) | k]
+
+    d1 = (
+        g(0, 0, 0) ** 2 * g(1, 1, 1) ** 2
+        + g(0, 0, 1) ** 2 * g(1, 1, 0) ** 2
+        + g(0, 1, 0) ** 2 * g(1, 0, 1) ** 2
+        + g(1, 0, 0) ** 2 * g(0, 1, 1) ** 2
+    )
+    d2 = (
+        g(0, 0, 0) * g(1, 1, 1) * g(0, 1, 1) * g(1, 0, 0)
+        + g(0, 0, 0) * g(1, 1, 1) * g(1, 0, 1) * g(0, 1, 0)
+        + g(0, 0, 0) * g(1, 1, 1) * g(1, 1, 0) * g(0, 0, 1)
+        + g(0, 1, 1) * g(1, 0, 0) * g(1, 0, 1) * g(0, 1, 0)
+        + g(0, 1, 1) * g(1, 0, 0) * g(1, 1, 0) * g(0, 0, 1)
+        + g(1, 0, 1) * g(0, 1, 0) * g(1, 1, 0) * g(0, 0, 1)
+    )
+    d3 = (
+        g(0, 0, 0) * g(1, 1, 0) * g(1, 0, 1) * g(0, 1, 1)
+        + g(1, 1, 1) * g(0, 0, 1) * g(0, 1, 0) * g(1, 0, 0)
+    )
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))

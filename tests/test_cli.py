@@ -248,6 +248,28 @@ class TestInvariants:
         )
         assert out.stderr.strip() == "[]"
 
+    @pytest.mark.parametrize(
+        "mode, loaded", [("--time-reversal", False), ("--lu-random", True)]
+    )
+    def test_only_random_transforms_load_numpy_random(self, tmp_path, mode, loaded):
+        # about 16 ms of import that time reversal does not need
+        path = ghz3_file(tmp_path)
+        src = os.path.dirname(os.path.dirname(stellarinv.__file__))
+        code = (
+            "import sys; from stellarinv.cli import main; "
+            "main(['transform', sys.argv[1], sys.argv[2], '-o', sys.argv[3]]); "
+            "print('numpy.random' in sys.modules, file=sys.stderr)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, path, mode, str(tmp_path / "out.json")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stderr.strip() == str(loaded)
+
     def test_oracle_check_unsupported_n(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "ghz4-family", "-o", str(tmp_path / "g4.json"))
         code, _, _ = run(capsys, "generate", "ghz", "-n", "15", "-o", str(tmp_path / "g15.json"))

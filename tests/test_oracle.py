@@ -15,6 +15,7 @@ from helpers import (
     reference_bit_weights,
     reference_concurrence,
     reference_partial_trace,
+    reference_three_tangle,
     reference_time_reversal_dense,
     roots_of,
     signed_zero_complex,
@@ -321,6 +322,27 @@ class TestThreeTangle:
         np.testing.assert_allclose(
             three_tangle(np.exp(0.7j) * t), three_tangle(t), atol=1e-12
         )
+
+    def test_random_states_match_the_expansion(self):
+        rng = np.random.default_rng(84)
+        for _ in range(200):
+            t = rng.normal(size=8) + 1j * rng.normal(size=8)
+            t /= np.linalg.norm(t)
+            np.testing.assert_allclose(three_tangle(t), reference_three_tangle(t), atol=1e-13)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1, np.pi / 8, np.pi / 4, 1.0, np.pi / 2])
+    def test_y_theta_matches_the_expansion(self, theta):
+        rng = np.random.default_rng(85)
+        for _ in range(10):
+            t = y_theta(theta, random_qubit(rng), random_qubit(rng), random_qubit(rng))
+            np.testing.assert_allclose(three_tangle(t), reference_three_tangle(t), atol=1e-13)
+
+    def test_product_states_have_no_tangle(self):
+        rng = np.random.default_rng(86)
+        for _ in range(20):
+            t = np.kron(np.kron(random_qubit(rng), random_qubit(rng)), random_qubit(rng))
+            np.testing.assert_allclose(three_tangle(t), reference_three_tangle(t), atol=1e-13)
+            np.testing.assert_allclose(three_tangle(t), 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,11 @@ from stellarinv import (
     degeneracy_class,
     find_roots,
     from_sphere,
+    ghz_state,
+    majorana_polynomial,
     slocc_summary,
 )
+from stellarinv import roots
 from stellarinv.roots import DEFAULT_ROOT_TOL, _eval_scaled, _scaled_residuals, single_linkage
 from stellarinv.states import projective_pairs
 
@@ -105,6 +108,28 @@ class TestFindRoots:
             np.testing.assert_allclose(
                 _scaled_residuals(c, z), want, rtol=0, atol=4 * (d + 1) * EPS * np.abs(c).max()
             )
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_newton_polish_reaches_the_floor(self, monkeypatch, n):
+        # some raw eigenvalues of GHZ_12 and GHZ_16 lie above the floor
+        steps = []
+        newton_step = roots._newton_step
+
+        def spy(asc, z):
+            steps.append(z)
+            return newton_step(asc, z)
+
+        monkeypatch.setattr(roots, "_newton_step", spy)
+        p = majorana_polynomial(ghz_state(n))
+        got = np.array([r.value for r in find_roots(p)])
+        assert steps, "no root reached the Newton polish"
+        want = np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n)
+        assert np.abs(got[:, None] - want).min(axis=1).max() <= 1e-14
+        c = p.coefficients
+        scale = np.abs(c).max()
+        floor = 64 * EPS * scale
+        # the gap test_array_residuals_match_horner allows between the evaluators
+        assert _scaled_residuals(c, got).max() <= floor + 4 * (n + 1) * EPS * scale
 
     def test_multiplicity_and_infinity_counts(self):
         rng = np.random.default_rng(23)

@@ -45,6 +45,8 @@ BLOCKS[149] = BLOCKS[40]
 #: State files written next to copies of the golden inputs.
 FILES = {
     "ghz3.json": _ghz(3),
+    # the Dicke(3, 1) state, whose 3-tangle is 0
+    "w3.json": {"n": 3, "basis": "dicke", "amplitudes": [[0, 0], [1, 0], [0, 0], [0, 0]]},
     "ghz8.json": _ghz(8),
     "ghz16.json": _ghz(16),
     "chain.json": _majorana([[0, 0], [4e-13, 0], [8e-13, 0], [1, 0]]),
@@ -56,10 +58,11 @@ FILES = {
     # steps of about 9e-8 chordal, ends 1.8e-7 apart: linked only through the middle
     "tol_chain.json": _majorana([[0, 0], [4.5e-8, 0], [9e-8, 0], [1, 0], [-1, 0]]),
     "blocks150.json": _majorana(BLOCKS),
-    # generic roots at n = 6 and, with a root at infinity, at n = 7
+    # generic roots at n = 6 and, with a root at infinity, at n = 3 and 7
     "majorana6.json": _majorana(
         [[0.3, -0.7], [1.2, 0.4], [-0.8, 0.9], [-1.1, -0.5], [0.1, 1.6], [2.0, -0.2]]
     ),
+    "majorana3_inf.json": _majorana([[0.4, -0.9], [-1.3, 0.7], "inf"]),
     "majorana7_inf.json": _majorana(
         [[0.5, 0.25], [-1.3, 0.6], [0.9, -1.1], [-0.2, -0.8], [1.7, 1.2], [-0.6, 1.9], "inf"]
     ),
