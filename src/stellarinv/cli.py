@@ -7,7 +7,8 @@ Reports are JSON maps printed to stdout with every numeric rendered to 15
 significant digits, so the fields parse back to the printed values.  Every
 per-root field lists the roots in the order they were computed in.
 
-Exit codes: 0 success, 2 parse failure, 3 unsupported qubit count for a
+Exit codes: 0 success (also when the reader of stdout closes it early), 2
+parse failure or unwritable output, 3 unsupported qubit count for a
 requested invariant or a polynomial, operator or SLUI coefficients beyond
 floats, 4 degenerate input.
 """
@@ -17,6 +18,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -153,13 +155,32 @@ def state_document(state: SymmetricState, basis: str) -> dict:
     }
 
 
+def _write(text: str, out_path: str | None) -> None:
+    """Write a command's output and a newline to ``out_path``, or to stdout,
+    flushed so that a failed write is raised here and not at exit.
+
+    A failed write exits 2; a closed stdout pipe raises ``BrokenPipeError``,
+    which :func:`main` ends quietly.
+    """
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not out_path:
+            # what stays buffered would fail again at exit (the signal docs' recipe)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise _CliError(EXIT_PARSE, f"cannot write {out_path or 'stdout'}: {exc}")
+
+
 def _emit(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(doc, indent=2), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +278,7 @@ def cmd_classify(args) -> int:
     if state.n == 3:
         names = {(3,): "separable", (2, 1): "W", (1, 1, 1): "GHZ-class"}
         label += " " + names[signature]
-    print(label)
+    _write(label, None)
     return EXIT_OK
 
 
@@ -433,6 +454,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader has gone: nothing is left to report
+        return EXIT_OK
     except (_CliError, OverflowError, DegenerateInputError, DivergentSumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _CliError):

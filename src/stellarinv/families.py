@@ -11,8 +11,14 @@ from .states import SymmetricState, from_dicke
 GHZ4_EXCLUDED = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 
 
+def _check_positive(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
+
+
 def ghz_state(n: int) -> SymmetricState:
     """(|s,-s> + |s,s>)/sqrt(2)."""
+    _check_positive(n)
     amps = np.zeros(n + 1, dtype=complex)
     amps[0] = amps[n] = 1.0
     return from_dicke(n, amps)
@@ -27,6 +33,7 @@ def w_state(n: int) -> SymmetricState:
 
 def dicke_state(n: int, weight: int) -> SymmetricState:
     """Basis state |s, m> with s + m = weight excited qubits."""
+    _check_positive(n)
     if not 0 <= weight <= n:
         raise ValueError(f"weight must lie in 0..{n}, got {weight}")
     amps = np.zeros(n + 1, dtype=complex)

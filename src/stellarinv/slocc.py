@@ -32,10 +32,10 @@ COINCIDENCE_TOL = 1e-12
 #: permutation sum.
 DIVERGENCE_THRESHOLD = 1e12
 
-#: Most ordered 4-tuples :func:`symmetrized_ik` covers at once.
-_TUPLE_CHUNK = 1 << 16
-#: 4-subsets of the roots per chunk, each holding 24 ordered 4-tuples.
-_SUBSET_CHUNK = _TUPLE_CHUNK // 24
+#: Most roots :func:`symmetrized_ik` takes.  All its terms are summed in one
+#: pass: at n = 17, 24 C(n, 4) = 57,120 ordered 4-tuples, and an orbit table
+#: of :func:`_orbit_factors` under 0.5 MiB.
+MAX_IK_N = 17
 #: Slots of a sorted 4-subset's members in its six orbit representatives.
 _ORBIT_SLOTS = [(0, *rest) for rest in itertools.permutations((1, 2, 3))]
 
@@ -162,12 +162,11 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> complex:
     term's numerator and denominator, are formed from real products each
     rounded once, never fused, so the four members of an orbit give the
     same bits and the sum equals the one over every tuple exactly.  The
-    tuples are evaluated in chunks that cover at most 2**16 ordered tuples,
-    so memory stays bounded at any n, and the real and imaginary parts of
-    each chunk are summed exactly with ``math.fsum``.  Up to n = 17 all
-    tuples form one chunk, so the sum is exactly rounded and does not
-    depend on the order of the roots; beyond that each chunk adds one
-    rounding.  The roots are grouped at :data:`COINCIDENCE_TOL`, as
+    real and imaginary parts of all terms are each summed in one
+    ``math.fsum``, so the sum is exactly rounded and does not depend on the
+    order of the roots.  More than :data:`MAX_IK_N` roots raise
+    ``ValueError`` before any term is formed.  The roots are grouped at
+    :data:`COINCIDENCE_TOL`, as
     :func:`slocc_summary` groups them at its ``tol``: fewer than three
     groups raise ``ValueError`` (no ordering has a triple to normalize by),
     and a group of several, a repeated root, raises ``DivergentSumError``.
@@ -177,6 +176,8 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> complex:
     pairs = projective_pairs(map(as_point, roots))
     if len(pairs) < 4:
         raise ValueError("need at least four roots")
+    if len(pairs) > MAX_IK_N:
+        raise ValueError(f"symmetrized_ik takes at most {MAX_IK_N} roots, got {len(pairs)}")
     groups = single_linkage(pairs, COINCIDENCE_TOL).max() + 1
     if groups < 3:
         raise ValueError("fewer than three distinct roots: no valid ordering")
@@ -209,26 +210,19 @@ def _differences(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _orbit_factors(n: int, start: int) -> tuple[np.ndarray, ...]:
+def _orbit_factors(n: int) -> tuple[np.ndarray, ...]:
     """Flat positions in an n x n array of det[i4, i1], det[i2, i3],
     det[i4, i3] and det[i2, i1] over one tuple (i1, i2, i3, i4) per Klein-four
-    orbit, for the :data:`_SUBSET_CHUNK` 4-subsets of range(n) from colex
-    rank ``start`` on.
+    orbit of range(n).
 
     The orbit of a tuple of distinct indices has one member whose first slot
     holds the least index; each 4-subset gives six, its least member first
     and the other three in every order.  The arrays are read-only, since the
-    cache hands them to every caller; eight of them take at most 4 MiB.
+    cache hands them to every caller; at n <= :data:`MAX_IK_N` eight sets of
+    them take at most 4 MiB.
     """
-    rank = np.arange(start, min(start + _SUBSET_CHUNK, math.comb(n, 4)))
-    members = []
-    # rank = C(c4, 4) + C(c3, 3) + C(c2, 2) + C(c1, 1) with c4 > c3 > c2 > c1
-    for k in (4, 3, 2, 1):
-        binom = np.array([math.comb(c, k) for c in range(n)])
-        c = np.searchsorted(binom, rank, side="right") - 1
-        rank = rank - binom[c]
-        members.insert(0, c)
-    i1, i2, i3, i4 = np.stack(members, axis=1)[:, _ORBIT_SLOTS].reshape(-1, 4).T
+    subsets = np.array(list(itertools.combinations(range(n), 4)))
+    i1, i2, i3, i4 = subsets[:, _ORBIT_SLOTS].reshape(-1, 4).T
     positions = (i4 * n + i1, i2 * n + i3, i4 * n + i3, i2 * n + i1)
     for p in positions:
         p.flags.writeable = False
@@ -236,34 +230,32 @@ def _orbit_factors(n: int, start: int) -> tuple[np.ndarray, ...]:
 
 
 def _power_sums(pairs: np.ndarray, powers: Sequence[int]) -> dict[int, complex]:
-    """symmetrized_ik of n >= 4 simple roots by power, from one pass over the
-    Klein-four orbit representatives of :func:`_orbit_factors`.
+    """symmetrized_ik of 4 <= n <= :data:`MAX_IK_N` simple roots by power,
+    from one pass over the Klein-four orbit representatives of
+    :func:`_orbit_factors`.
 
     Over :func:`_differences`, with num and den from :func:`_times`, the four
     members of an orbit have the same num and den bits, so they agree on the
     divergence test and on their terms: the representatives' sum weighted by
-    4 (n-4)! is the sum over every tuple weighted by (n-4)!, exactly.
+    4 (n-4)! is the sum over every tuple weighted by (n-4)!, exactly, with
+    one ``math.fsum`` per real or imaginary part.
     """
     n = len(pairs)
     det_re, det_im = (part.ravel() for part in _differences(pairs))
-    parts: dict[int, tuple[list[float], list[float]]] = {k: ([], []) for k in powers}
-    for start in range(0, math.comb(n, 4), _SUBSET_CHUNK):
-        p41, p23, p43, p21 = _orbit_factors(n, start)
-        num = np.empty(len(p41), complex)
-        den = np.empty_like(num)
-        num.real, num.imag = _times(det_re[p41], det_im[p41], det_re[p23], det_im[p23])
-        den.real, den.imag = _times(det_re[p43], det_im[p43], det_re[p21], det_im[p21])
-        if np.any(abs(den) * DIVERGENCE_THRESHOLD <= abs(num)):
-            raise DivergentSumError(
-                "transformed cross ratio exceeds the divergence threshold"
-            )
-        ratio = num / den
-        for k, (re_parts, im_parts) in parts.items():
-            terms = ratio**k
-            re_parts.append(math.fsum(terms.real.tolist()))
-            im_parts.append(math.fsum(terms.imag.tolist()))
+    p41, p23, p43, p21 = _orbit_factors(n)
+    num = np.empty(len(p41), complex)
+    den = np.empty_like(num)
+    num.real, num.imag = _times(det_re[p41], det_im[p41], det_re[p23], det_im[p23])
+    den.real, den.imag = _times(det_re[p43], det_im[p43], det_re[p21], det_im[p21])
+    if np.any(abs(den) * DIVERGENCE_THRESHOLD <= abs(num)):
+        raise DivergentSumError("transformed cross ratio exceeds the divergence threshold")
+    ratio = num / den
     weight = 4 * math.factorial(n - 4)
-    return {k: complex(math.fsum(re), math.fsum(im)) * weight for k, (re, im) in parts.items()}
+    sums = {}
+    for k in powers:
+        terms = ratio**k
+        sums[k] = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) * weight
+    return sums
 
 
 def canonical_representative(lam) -> RiemannPoint:

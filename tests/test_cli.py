@@ -86,6 +86,14 @@ class TestGenerate:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv", [["ghz", "-n", "-3"], ["dicke", "-n", "-1", "--weight", "0"]], ids=["ghz", "dicke"]
+    )
+    def test_negative_qubit_count_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "generate", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: qubit count must be positive, got {argv[2]}\n"
+
     def test_unknown_family_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "generate", "bell")
@@ -681,6 +689,66 @@ _COMMANDS = [
     ["transform", "--ilo-random"],
     ["transform", "--time-reversal"],
 ]
+
+
+def run_cli_process(argv, stdout, unbuffered):
+    """Run the CLI in a fresh interpreter, stdout on the given file descriptor."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stellarinv.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "stellarinv.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestOutputFailures:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "{state}"],
+            ["roots", "{state}"],
+            ["transform", "{state}", "--time-reversal"],
+            ["generate", "ghz"],
+        ],
+        ids=["invariants", "roots", "transform", "generate"],
+    )
+    def test_output_into_a_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        target = str(tmp_path / "missing" / "out.json")
+        argv = [a.format(state=ghz3_file(tmp_path)) for a in argv]
+        code, out, err = run(capsys, *argv, "-o", target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+    def test_output_onto_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "generate", "ghz", "-o", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["invariants", "classify"])
+    def test_full_stdout_exits_2(self, tmp_path, command, unbuffered):
+        with open("/dev/full", "w") as full:
+            out = run_cli_process([command, ghz3_file(tmp_path)], full, unbuffered)
+        assert out.returncode == 2
+        assert out.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["invariants", "classify"])
+    def test_closed_stdout_pipe_ends_quietly(self, tmp_path, command, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            out = run_cli_process([command, ghz3_file(tmp_path)], write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (0, "")
 
 
 class TestFuzz:

@@ -35,7 +35,7 @@ from stellarinv import (
 )
 from stellarinv import slocc
 from stellarinv.roots import DEFAULT_CLUSTER_TOL, find_roots, single_linkage
-from stellarinv.slocc import COINCIDENCE_TOL, MAX_POWER_SUM_N, SUMMARY_POWERS
+from stellarinv.slocc import COINCIDENCE_TOL, MAX_IK_N, MAX_POWER_SUM_N, SUMMARY_POWERS
 from stellarinv.states import majorana_polynomial, projective_differences, projective_pairs
 
 OMEGA = np.exp(1j * np.pi / 3)  # equianharmonic cross ratio, root of l^2 - l + 1
@@ -321,19 +321,33 @@ class TestSymmetrizedIk:
                 assert abs(res - want) <= 1e-12 * abs(want)
 
     def test_root_order_leaves_value_bit_identical(self):
-        # up to n = 17 every tuple is summed exactly in one fsum
+        # every tuple is summed exactly in one fsum
         rng = np.random.default_rng(53)
-        for n in (8, 16, 4, 5, 6, 7, 12):
+        for n in (8, 16, 4, 5, 6, 7, 12, MAX_IK_N):
             pts = random_points(rng, n, min_sep=0.2)
             shuffled = [pts[i] for i in rng.permutation(n)]
             for k in (2, 4):
                 assert symmetrized_ik(shuffled, k) == symmetrized_ik(pts, k)
 
-    def test_linear_sum_over_several_chunks(self):
+    def test_linear_sum_at_the_largest_n(self):
         rng = np.random.default_rng(54)
-        res = symmetrized_ik(random_points(rng, 20, min_sep=0.1), 1)
-        want = math.factorial(20) / 2.0
+        res = symmetrized_ik(random_points(rng, MAX_IK_N, min_sep=0.1), 1)
+        want = math.factorial(MAX_IK_N) / 2.0
         assert abs(res - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("n", [MAX_IK_N + 1, 1029])
+    def test_beyond_the_largest_n_rejected_before_the_orbit_table(self, n, monkeypatch):
+        calls = []
+        orbit_factors = slocc._orbit_factors
+        monkeypatch.setattr(
+            slocc, "_orbit_factors", lambda m: calls.append(m) or orbit_factors(m)
+        )
+        pts = [point(np.exp(2j * np.pi * j / n)) for j in range(n)]
+        with pytest.raises(ValueError, match=f"at most {MAX_IK_N} roots, got {n}"):
+            symmetrized_ik(pts, 2)
+        assert calls == []
+        symmetrized_ik(pts[:MAX_IK_N], 2)  # the spy sees a call within the limit
+        assert calls == [MAX_IK_N]
 
     def test_linear_sum_is_constant(self):
         # the six orbit images of any cross ratio sum to 3, so the k=1
@@ -428,12 +442,15 @@ class TestOneTermPerKleinFourOrbit:
     @example(pts=[point(z) for z in (0, 1, -1, 2, 0.5, -3)])
     @example(pts=[point(z) for z in (0, 1j, 1, 2 + 1j, -1)] + [inf_point()])
     @example(pts=ghz4_roots())
+    @example(pts=[point(complex(x, y) / 4) for x in range(-2, 2) for y in range(-1, 2)])
+    @example(pts=[point(0.3 * k + 0.1j * k * k - 0.05j) for k in range(-8, 8)] + [inf_point()])
     def test_equals_the_sum_over_every_tuple(self, pts):
         # == on floats compares bits, save the sign of a zero
         want = reference_power_sums(pts, (1, 2, 3, 4))
         for k, value in want.items():
             assert symmetrized_ik(pts, k) == value
-        assert slocc_summary(pts).symmetrized == {k: want[k] for k in SUMMARY_POWERS}
+        summary = {k: want[k] for k in SUMMARY_POWERS} if len(pts) <= MAX_POWER_SUM_N else {}
+        assert slocc_summary(pts).symmetrized == summary
 
 
 def summary_cases():

@@ -10,8 +10,10 @@ from stellarinv import (
     MajoranaPolynomial,
     RiemannPoint,
     chordal_distance,
+    dicke_state,
     from_dicke,
     from_sphere,
+    ghz_state,
     majorana_polynomial,
     state_from_polynomial,
     state_from_roots,
@@ -66,6 +68,13 @@ class TestFromDicke:
         st3 = from_dicke(3, [1, 0, 0, 1])
         with pytest.raises(ValueError):
             st3.amplitudes[0] = 5.0
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_families_refuse_a_non_positive_qubit_count(n):
+    for make, args in ((ghz_state, (n,)), (dicke_state, (n, 0))):
+        with pytest.raises(ValueError, match=f"qubit count must be positive, got {n}$"):
+            make(*args)
 
 
 class TestRiemannPoint:

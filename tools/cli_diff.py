@@ -129,6 +129,14 @@ GENERATE = [
     ["generate", "ghz4-family", "--mu", "0.3", "0.1", "-o", "out.json"],
 ]
 
+#: One call per writing command whose ``-o`` names a file in a missing directory.
+UNWRITABLE = [
+    ["invariants", "ghz3.json", "-o", "missing/out.json"],
+    ["roots", "ghz3.json", "-o", "missing/out.json"],
+    ["transform", "ghz3.json", "--time-reversal", "-o", "missing/out.json"],
+    ["generate", "ghz", "-n", "5", "-o", "missing/out.json"],
+]
+
 #: Runs in the tree's interpreter: reads the calls as JSON on stdin and writes
 #: the package location and one record per call as JSON on stdout.
 WORKER = r"""
@@ -225,7 +233,8 @@ def main(argv: list[str]) -> int:
         for name, doc in FILES.items():
             (workdir / name).write_text(json.dumps(doc))
         names = sorted(p.name for p in workdir.iterdir())
-        argvs = [[cmd[0], name, *cmd[1:]] for name in names for cmd in FILE_COMMANDS] + GENERATE
+        argvs = [[cmd[0], name, *cmd[1:]] for name in names for cmd in FILE_COMMANDS]
+        argvs += GENERATE + UNWRITABLE
         before = run_tree(old, workdir, argvs)
         after = run_tree(new, workdir, argvs)
     differing = 0
