@@ -100,12 +100,13 @@ def _check_qubits(n: int) -> None:
         )
 
 
-def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None, str]:
-    """Parse a state file into (state, file points or None, basis).
+def load_document(path: str) -> tuple[int, SymmetricState | None, list[RiemannPoint] | None]:
+    """Parse a state file into (n, state, points): a dicke-basis file gives
+    its state and no points, a majorana-basis file its points and no state.
 
-    Points given explicitly in a majorana-basis file are returned as-is so
-    later stages can use them exactly instead of re-extracting them from the
-    reconstructed polynomial (important for degenerate constellations).
+    The file's points are used as they are instead of being re-extracted from
+    the expanded polynomial (important for degenerate constellations), and
+    only a command that needs amplitudes expands them (:func:`_state`).
     """
     try:
         with open(path) as fh:
@@ -126,22 +127,32 @@ def load_document(path: str) -> tuple[SymmetricState, list[RiemannPoint] | None,
             raise _CliError(EXIT_PARSE, f"'amplitudes' must list {n + 1} [re, im] pairs")
         amps = [_parse_complex(entry, "amplitude") for entry in raw]
         try:
-            return from_dicke(n, amps), None, basis
+            return n, from_dicke(n, amps), None
         except ValueError as exc:
             raise _CliError(EXIT_PARSE, str(exc))
     if basis == "majorana":
         raw = doc.get("points")
         if not isinstance(raw, list) or len(raw) != n:
             raise _CliError(EXIT_PARSE, f"'points' must list {n} entries")
+        if n == 0:
+            raise _CliError(EXIT_PARSE, "empty root multiset")
         pts = [
             RiemannPoint.infinity() if e == "inf" else RiemannPoint(_parse_complex(e, "point"))
             for e in raw
         ]
-        try:
-            return state_from_roots(pts), pts, basis
-        except ValueError as exc:
-            raise _CliError(EXIT_PARSE, str(exc))
+        return n, None, pts
     raise _CliError(EXIT_PARSE, f"unknown basis {basis!r} (expected 'dicke' or 'majorana')")
+
+
+def _roots(state: SymmetricState | None, points: list[RiemannPoint] | None):
+    """The document's points, or the roots of its state."""
+    return points if state is None else find_roots(majorana_polynomial(state))
+
+
+def _state(state: SymmetricState | None, points: list[RiemannPoint] | None):
+    """The document's state, or the state of its points: ``OverflowError``
+    when their polynomial is beyond floats."""
+    return state if points is None else state_from_roots(points)
 
 
 def state_document(state: SymmetricState, basis: str) -> dict:
@@ -187,8 +198,7 @@ def _emit(doc, out_path: str | None) -> None:
 # Report assembly
 
 
-def _lu_section(state, g):
-    n = state.n
+def _lu_section(n, g):
     section = {"slui_coefficients": [_sig15(c) for c in slui_coefficients(g)]}
     if n == 2:
         v12 = float(g[0, 1])
@@ -237,10 +247,10 @@ def _oracle_section(state, g):
 
 
 def cmd_invariants(args) -> int:
-    state, file_points, _ = load_document(args.file)
-    if args.oracle_check and state.n not in (2, 3):  # before any stage: exit 3 beats exit 4
-        raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {state.n}")
-    pts = file_points or find_roots(majorana_polynomial(state))
+    n, state, points = load_document(args.file)
+    if args.oracle_check and n not in (2, 3):  # before any stage: exit 3 beats exit 4
+        raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {n}")
+    pts = _roots(state, points)
     vecs = [to_sphere(p) for p in pts]
     g = gram(vecs)
     # every section before the n x n Gram is formatted: a section can still
@@ -248,19 +258,19 @@ def cmd_invariants(args) -> int:
     sections = {}
     both = not (args.lu or args.slocc)
     if args.lu or both:
-        sections["lu"] = _lu_section(state, g)
+        sections["lu"] = _lu_section(n, g)
     if args.slocc or both:
         summary = slocc_summary(pts, args.tol)
-        if args.slocc and state.n == 4 and summary.klein_j is None:
+        if args.slocc and n == 4 and summary.klein_j is None:
             raise DegenerateInputError(
                 "a repeated root, or roots close enough that the cross ratio passes 1e12"
                 " and is stored as inf, put the cross ratio on the degenerate orbit {0, 1, inf}"
             )
         sections["slocc"] = _slocc_section(summary)
     if args.oracle_check:
-        sections["oracle"] = _oracle_section(state, g)
+        sections["oracle"] = _oracle_section(_state(state, points), g)
     report = {
-        "n": state.n,
+        "n": n,
         "roots": [_point_json(p) for p in pts],
         "points": [[_sig15(c) for c in v] for v in vecs],
         "gram": [[_sig15(c) for c in row] for row in g],
@@ -271,11 +281,10 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    state, file_points, _ = load_document(args.file)
-    pts = file_points or find_roots(majorana_polynomial(state))
-    signature = degeneracy_class(pts, args.tol)
+    n, state, points = load_document(args.file)
+    signature = degeneracy_class(_roots(state, points), args.tol)
     label = "{" + ",".join(str(m) for m in signature) + "}"
-    if state.n == 3:
+    if n == 3:
         names = {(3,): "separable", (2, 1): "W", (1, 1, 1): "GHZ-class"}
         label += " " + names[signature]
     _write(label, None)
@@ -283,7 +292,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    state, _, basis = load_document(args.file)
+    _, state, points = load_document(args.file)
+    state = _state(state, points)
     if args.mode == "lu-random":
         # uniform rotation axis, angle uniform in [0, pi]
         rng = np.random.default_rng(args.seed)
@@ -315,7 +325,7 @@ def cmd_transform(args) -> int:
         out = apply_operator(ilo_operator(params, state.n), state)
     else:
         out = time_reversal(state)
-    _emit(state_document(out, basis), args.output)
+    _emit(state_document(out, "dicke" if points is None else "majorana"), args.output)
     return EXIT_OK
 
 
@@ -342,11 +352,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    state, file_points, _ = load_document(args.file)
-    pts = file_points or find_roots(majorana_polynomial(state))
+    n, state, points = load_document(args.file)
+    pts = _roots(state, points)
     clusters = cluster(pts, args.tol)
     report = {
-        "n": state.n,
+        "n": n,
         "roots": [_point_json(p) for p in pts],
         "points": [[_sig15(c) for c in to_sphere(p)] for p in pts],
         "clusters": [
@@ -382,8 +392,16 @@ def _seed(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints its help through :func:`_write`, so that a failed help write
+    ends as any other failed output does."""
+
+    def print_help(self, file=None):
+        _write(self.format_help().removesuffix("\n"), None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stellarinv",
         description="Entanglement invariants of symmetric multiqubit states "
         "via their stellar representation.",
@@ -450,9 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:  # the reader has gone: nothing is left to report
         return EXIT_OK

@@ -28,22 +28,6 @@ _MAX_POLISH = 8
 _LINK_CHUNK = 1 << 14
 
 
-def _eval_scaled(asc: Sequence[complex], z: complex) -> complex:
-    """Horner evaluation with bounded intermediates.
-
-    For |z| > 1 the reversed polynomial is evaluated at 1/z instead, which
-    keeps every intermediate below the coefficient scale and makes residuals
-    comparable to it.
-    """
-    if abs(z) > 1.0:
-        asc = asc[::-1]
-        z = 1.0 / z
-    acc = 0.0 + 0.0j
-    for c in asc[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def _newton_step(asc: Sequence[complex], z: complex) -> complex:
     p = 0.0 + 0.0j
     dp = 0.0 + 0.0j
@@ -56,9 +40,10 @@ def _newton_step(asc: Sequence[complex], z: complex) -> complex:
 
 
 def _scaled_residuals(asc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|P(z)| of every z in the charts of :func:`_eval_scaled` (P at z for
-    |z| <= 1, the reversed polynomial at 1/z otherwise), as one product of the
-    Vandermonde matrix of the chart points with the coefficients."""
+    """Scaled residual |P(z)| of every z: P at z for |z| <= 1, the reversed
+    polynomial at 1/z otherwise, so no intermediate exceeds the coefficient
+    scale.  One product of the Vandermonde matrix of the chart points with the
+    coefficients; the one evaluator that gates, polishes and bounds roots."""
     outside = np.abs(z) > 1.0
     w = z.copy()
     w[outside] = 1.0 / z[outside]
@@ -73,10 +58,11 @@ def find_roots(poly: MajoranaPolynomial) -> list[RiemannPoint]:
     """All n roots of the polynomial, points at infinity included.
 
     Finite roots come from the companion-matrix eigenvalues of the trailing
-    degree-d polynomial; those whose scaled residual (one array pass) lies
-    above the machine-precision floor are polished with a few Newton steps;
-    the remaining n - d roots are exact points at infinity.  Each finite root
-    satisfies the scaled residual bound
+    degree-d polynomial; those whose scaled residual (:func:`_scaled_residuals`)
+    lies above the machine-precision floor are polished with a few Newton
+    steps, each kept only if that residual falls; the remaining n - d roots
+    are exact points at infinity.  Each finite root satisfies the scaled
+    residual bound
     |P(root)| <= :data:`DEFAULT_ROOT_TOL` * max|coefficient|.
     """
     coeffs = poly.coefficients
@@ -97,16 +83,15 @@ def find_roots(poly: MajoranaPolynomial) -> list[RiemannPoint]:
         asc = trailing.tolist()
         found = raw.tolist()
         for i in np.flatnonzero(res > floor).tolist():
-            r = found[i]
-            r_res = abs(_eval_scaled(asc, r))
+            r, r_res = found[i], res[i]
             for _ in range(_MAX_POLISH):
-                if r_res <= floor:
-                    break
                 cand = _newton_step(asc, r)
-                cand_res = abs(_eval_scaled(asc, cand))
+                cand_res = _scaled_residuals(trailing, np.array([cand]))[0]
                 if cand_res >= r_res:
                     break
                 r, r_res = cand, cand_res
+                if r_res <= floor:
+                    break
             found[i], res[i] = r, r_res
         over = np.flatnonzero(res > bound)
         if over.size:

@@ -147,6 +147,19 @@ def reference_power_sums(points, powers):
     return sums
 
 
+def reference_scaled_residual(asc, z):
+    """Scalar Horner reference for ``roots._scaled_residuals``: |P(z)| for
+    |z| <= 1, the reversed polynomial at 1/z otherwise, on Python complex
+    numbers, one coefficient at a time."""
+    if abs(z) > 1.0:
+        asc = asc[::-1]
+        z = 1.0 / z
+    acc = 0.0 + 0.0j
+    for c in asc[::-1]:
+        acc = acc * z + c
+    return abs(acc)
+
+
 def assert_multisets_close(ps, qs, tol):
     d = multiset_distance(ps, qs)
     assert d <= tol, f"multiset distance {d:.3e} exceeds {tol:.1e}"

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -228,12 +229,34 @@ class TestInvariants:
 
     @pytest.mark.parametrize("n, z", [(200, 1000), (700, 2)])
     def test_majorana_polynomial_beyond_floats_exits_3(self, capsys, tmp_path, n, z):
+        # transform is the one command that expands a majorana file at any n
         doc = {"n": n, "basis": "majorana", "points": [[z, 0]] * n}
         path = write_state(tmp_path, "m.json", doc)
-        for command in ("classify", "roots", "invariants"):
-            code, out, err = run(capsys, command, path)
+        for mode in ("--time-reversal", "--lu-random", "--ilo-random"):
+            code, out, err = run(capsys, "transform", path, mode)
             assert (code, out) == (3, "")
             assert err == f"error: the polynomial of these {n} points overflows a float\n"
+
+    def test_majorana_points_are_expanded_only_for_amplitudes(self, capsys, tmp_path):
+        # 60 points on |z| = 1e6, 60 groups at the default --tol, whose
+        # polynomial z^60 - 1e360 is beyond floats
+        turns = [2 * math.pi * k / 60 for k in range(60)]
+        points = [[1e6 * math.cos(t), 1e6 * math.sin(t)] for t in turns]
+        path = write_state(tmp_path, "m.json", {"n": 60, "basis": "majorana", "points": points})
+        code, out, err = run(capsys, "classify", path)
+        assert (code, out, err) == (0, "{" + ",".join(["1"] * 60) + "}\n", "")
+        for argv in (["roots"], ["invariants", "--slocc"]):
+            code, out, err = run(capsys, *argv, path)
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            np.testing.assert_allclose(doc["roots"], points, rtol=1e-14)
+            assert (doc.get("degeneracy") or doc["slocc"]["degeneracy"]) == [1] * 60
+        code, out, err = run(capsys, "invariants", path)
+        assert (code, out) == (3, "")
+        assert err == "error: SLUI coefficients of n = 60 points overflow a float\n"
+        code, out, err = run(capsys, "transform", path, "--time-reversal")
+        assert (code, out) == (3, "")
+        assert err == "error: the polynomial of these 60 points overflows a float\n"
 
     def test_majorana_file_leaves_numpy_polynomial_out(self, tmp_path):
         # about 5 ms of import that state_from_roots no longer needs
@@ -746,6 +769,25 @@ class TestOutputFailures:
         os.close(read_end)  # the reader is gone before the child writes
         try:
             out = run_cli_process([command, ghz3_file(tmp_path)], write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (0, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["invariants", "--help"]], ids=["main", "sub"])
+    def test_help_into_a_full_stdout_exits_2(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            out = run_cli_process(argv, full, unbuffered)
+        assert out.returncode == 2
+        assert out.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_help_into_a_closed_pipe_ends_quietly(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = run_cli_process(["invariants", "--help"], write_end, unbuffered)
         finally:
             os.close(write_end)
         assert (out.returncode, out.stderr) == (0, "")

@@ -14,6 +14,7 @@ list only changed order); the exit status is 1 if any call differs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -41,6 +42,13 @@ THRESHOLD = [[0, 0], [4.99999999999999e-13, 0], [5e-13, 0], [1e-12, 0]]
 BLOCKS = [[(k % 15) / 5, (k // 15) / 5] for k in range(150)]
 BLOCKS[120] = [BLOCKS[3][0] + 1e-9, BLOCKS[3][1]]
 BLOCKS[149] = BLOCKS[40]
+
+#: 60 points on the circle |z| = 1e6: 60 groups at the default --tol, whose
+#: polynomial z^60 - 1e360 is beyond floats.
+FAR_CIRCLE = [
+    [1e6 * math.cos(2 * math.pi * k / 60), 1e6 * math.sin(2 * math.pi * k / 60)]
+    for k in range(60)
+]
 
 #: State files written next to copies of the golden inputs.
 FILES = {
@@ -70,6 +78,7 @@ FILES = {
     "double_zero.json": _majorana([[0, 0], [0, 0], [1, 0], [2, 0]]),
     # expands to coefficients beyond the float range
     "overflowing_polynomial.json": _majorana([[1000, 0]] * 200),
+    "far_circle60.json": _majorana(FAR_CIRCLE),
     # a norm below the 1e-12 rescaling bound
     "tiny_amplitudes.json": {
         "n": 2,
@@ -136,6 +145,9 @@ UNWRITABLE = [
     ["transform", "ghz3.json", "--time-reversal", "-o", "missing/out.json"],
     ["generate", "ghz", "-n", "5", "-o", "missing/out.json"],
 ]
+
+#: Help texts, whose bytes are pinned as any other output's.
+HELP = [["--help"], ["invariants", "--help"]]
 
 #: Runs in the tree's interpreter: reads the calls as JSON on stdin and writes
 #: the package location and one record per call as JSON on stdout.
@@ -234,7 +246,7 @@ def main(argv: list[str]) -> int:
             (workdir / name).write_text(json.dumps(doc))
         names = sorted(p.name for p in workdir.iterdir())
         argvs = [[cmd[0], name, *cmd[1:]] for name in names for cmd in FILE_COMMANDS]
-        argvs += GENERATE + UNWRITABLE
+        argvs += GENERATE + UNWRITABLE + HELP
         before = run_tree(old, workdir, argvs)
         after = run_tree(new, workdir, argvs)
     differing = 0
