@@ -8,9 +8,9 @@ significant digits, so the fields parse back to the printed values.  Every
 per-root field lists the roots in the order they were computed in.
 
 Exit codes: 0 success (also when the reader of stdout closes it early), 2
-parse failure or unwritable output, 3 unsupported qubit count for a
-requested invariant or a polynomial, operator or SLUI coefficients beyond
-floats, 4 degenerate input.
+parse failure (also a point whose modulus is beyond floats) or unwritable
+output, 3 unsupported qubit count for a requested invariant or a Dicke
+file's operator or SLUI coefficients beyond floats, 4 degenerate input.
 """
 from __future__ import annotations
 
@@ -32,17 +32,22 @@ from .slocc import slocc_summary
 from .states import (
     MAX_QUBITS,
     RiemannPoint,
+    SphereVector,
     SymmetricState,
     from_dicke,
+    from_sphere,
     majorana_polynomial,
     state_from_roots,
     to_sphere,
 )
 from .transforms import (
     IloParameters,
+    apply_mobius,
     apply_operator,
     ilo_operator,
     lu_unitary,
+    mobius_from_ilo,
+    rotation_from_h,
     time_reversal,
 )
 
@@ -104,9 +109,9 @@ def load_document(path: str) -> tuple[int, SymmetricState | None, list[RiemannPo
     """Parse a state file into (n, state, points): a dicke-basis file gives
     its state and no points, a majorana-basis file its points and no state.
 
-    The file's points are used as they are instead of being re-extracted from
-    the expanded polynomial (important for degenerate constellations), and
-    only a command that needs amplitudes expands them (:func:`_state`).
+    The file's points are used as they are, never re-extracted from the
+    expanded polynomial (important for degenerate constellations); a point
+    whose modulus is beyond floats exits 2.
     """
     try:
         with open(path) as fh:
@@ -136,10 +141,13 @@ def load_document(path: str) -> tuple[int, SymmetricState | None, list[RiemannPo
             raise _CliError(EXIT_PARSE, f"'points' must list {n} entries")
         if n == 0:
             raise _CliError(EXIT_PARSE, "empty root multiset")
-        pts = [
-            RiemannPoint.infinity() if e == "inf" else RiemannPoint(_parse_complex(e, "point"))
-            for e in raw
-        ]
+        try:
+            pts = [
+                RiemannPoint.infinity() if e == "inf" else RiemannPoint(_parse_complex(e, "point"))
+                for e in raw
+            ]
+        except OverflowError:  # abs() of the point
+            raise _CliError(EXIT_PARSE, "a point's modulus is beyond the float range")
         return n, None, pts
     raise _CliError(EXIT_PARSE, f"unknown basis {basis!r} (expected 'dicke' or 'majorana')")
 
@@ -149,16 +157,7 @@ def _roots(state: SymmetricState | None, points: list[RiemannPoint] | None):
     return points if state is None else find_roots(majorana_polynomial(state))
 
 
-def _state(state: SymmetricState | None, points: list[RiemannPoint] | None):
-    """The document's state, or the state of its points: ``OverflowError``
-    when their polynomial is beyond floats."""
-    return state if points is None else state_from_roots(points)
-
-
-def state_document(state: SymmetricState, basis: str) -> dict:
-    if basis == "majorana":
-        pts = find_roots(majorana_polynomial(state))
-        return {"n": state.n, "basis": "majorana", "points": [_point_json(p) for p in pts]}
+def state_document(state: SymmetricState) -> dict:
     return {
         "n": state.n,
         "basis": "dicke",
@@ -268,7 +267,7 @@ def cmd_invariants(args) -> int:
             )
         sections["slocc"] = _slocc_section(summary)
     if args.oracle_check:
-        sections["oracle"] = _oracle_section(_state(state, points), g)
+        sections["oracle"] = _oracle_section(state or state_from_roots(points), g)
     report = {
         "n": n,
         "roots": [_point_json(p) for p in pts],
@@ -292,15 +291,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    _, state, points = load_document(args.file)
-    state = _state(state, points)
+    n, state, points = load_document(args.file)
+    # a majorana file's points each take the rotation, Moebius map or antipode
     if args.mode == "lu-random":
         # uniform rotation axis, angle uniform in [0, pi]
         rng = np.random.default_rng(args.seed)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         h = axis * rng.uniform(0.0, np.pi)
-        out = apply_operator(lu_unitary(h, state.n), state)
+        rot = rotation_from_h(h)
+        move = lambda p: from_sphere(SphereVector(*(rot @ to_sphere(p))))
+        act = lambda s: apply_operator(lu_unitary(h, n), s)
     elif args.mode == "ilo-random":
         # unit-disk parameter draws, rejected against the domain bounds and
         # a moderate Moebius part
@@ -322,10 +323,14 @@ def cmd_transform(args) -> int:
                 break
         else:
             raise _CliError(EXIT_DEGENERATE, "no in-domain ILO parameters found")
-        out = apply_operator(ilo_operator(params, state.n), state)
+        mob = mobius_from_ilo(params)
+        move = lambda p: apply_mobius(mob, p)
+        act = lambda s: apply_operator(ilo_operator(params, n), s)
     else:
-        out = time_reversal(state)
-    _emit(state_document(out, "dicke" if points is None else "majorana"), args.output)
+        move, act = RiemannPoint.antipode, time_reversal
+    if points is not None:
+        doc = {"n": n, "basis": "majorana", "points": [_point_json(move(p)) for p in points]}
+    _emit(state_document(act(state)) if points is None else doc, args.output)
     return EXIT_OK
 
 
@@ -347,7 +352,7 @@ def cmd_generate(args) -> int:
         raise  # a ValueError too; main maps it to exit 4
     except ValueError as exc:
         raise _CliError(EXIT_PARSE, str(exc))
-    _emit(state_document(state, "dicke"), args.output)
+    _emit(state_document(state), args.output)
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stellarinv
+from helpers import multiset_distance, random_points, roots_of
 from stellarinv.cli import main
 
 
@@ -228,14 +229,29 @@ class TestInvariants:
         assert outs[1:] == outs[:-1]
 
     @pytest.mark.parametrize("n, z", [(200, 1000), (700, 2)])
-    def test_majorana_polynomial_beyond_floats_exits_3(self, capsys, tmp_path, n, z):
-        # transform is the one command that expands a majorana file at any n
+    def test_majorana_polynomial_beyond_floats_transforms(self, capsys, tmp_path, n, z):
+        # transform moves the points one by one and never expands them
         doc = {"n": n, "basis": "majorana", "points": [[z, 0]] * n}
         path = write_state(tmp_path, "m.json", doc)
         for mode in ("--time-reversal", "--lu-random", "--ilo-random"):
             code, out, err = run(capsys, "transform", path, mode)
-            assert (code, out) == (3, "")
-            assert err == f"error: the polynomial of these {n} points overflows a float\n"
+            assert (code, err) == (0, "")
+            points = json.loads(out)["points"]
+            assert len(points) == n and points[1:] == points[:-1]
+            if mode == "--time-reversal":
+                assert points[0] == [-1 / z, 0]
+
+    def test_point_modulus_beyond_floats_exits_2(self, capsys, tmp_path):
+        huge = [1.5e308, 1.5e308]
+        doc = {"n": 3, "basis": "majorana", "points": [huge, [0, 0], [1, 0]]}
+        path = write_state(tmp_path, "m.json", doc)
+        for argv in (["classify"], ["roots"], ["invariants"], ["transform", "--time-reversal"]):
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert (code, out) == (2, "")
+            assert err == "error: a point's modulus is beyond the float range\n"
+        # the same value is a valid Dicke amplitude
+        doc = {"n": 2, "basis": "dicke", "amplitudes": [huge, [0, 0], [1, 0]]}
+        assert run(capsys, "classify", write_state(tmp_path, "d.json", doc))[0] == 0
 
     def test_majorana_points_are_expanded_only_for_amplitudes(self, capsys, tmp_path):
         # 60 points on |z| = 1e6, 60 groups at the default --tol, whose
@@ -255,8 +271,10 @@ class TestInvariants:
         assert (code, out) == (3, "")
         assert err == "error: SLUI coefficients of n = 60 points overflow a float\n"
         code, out, err = run(capsys, "transform", path, "--time-reversal")
-        assert (code, out) == (3, "")
-        assert err == "error: the polynomial of these 60 points overflows a float\n"
+        assert (code, err) == (0, "")
+        np.testing.assert_allclose(
+            json.loads(out)["points"], [[-x / 1e12, -y / 1e12] for x, y in points], rtol=1e-14
+        )
 
     def test_majorana_file_leaves_numpy_polynomial_out(self, tmp_path):
         # about 5 ms of import that state_from_roots no longer needs
@@ -284,22 +302,25 @@ class TestInvariants:
     )
     def test_only_random_transforms_load_numpy_random(self, tmp_path, mode, loaded):
         # about 16 ms of import that time reversal does not need
-        path = ghz3_file(tmp_path)
+        majorana = write_state(
+            tmp_path, "maj.json", {"n": 3, "basis": "majorana", "points": [[0, 0], [1, 0], "inf"]}
+        )
         src = os.path.dirname(os.path.dirname(stellarinv.__file__))
         code = (
             "import sys; from stellarinv.cli import main; "
             "main(['transform', sys.argv[1], sys.argv[2], '-o', sys.argv[3]]); "
             "print('numpy.random' in sys.modules, file=sys.stderr)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code, path, mode, str(tmp_path / "out.json")],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        )
-        assert out.stderr.strip() == str(loaded)
+        for path in (ghz3_file(tmp_path), majorana):
+            out = subprocess.run(
+                [sys.executable, "-c", code, path, mode, str(tmp_path / "out.json")],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            )
+            assert out.stderr.strip() == str(loaded)
 
     def test_oracle_check_unsupported_n(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "ghz4-family", "-o", str(tmp_path / "g4.json"))
@@ -568,6 +589,58 @@ class TestTransform:
         assert code == 0
         code, text, _ = run(capsys, "classify", out)
         assert text.strip() == "{1,1,1} GHZ-class"
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0, 0]] * 3 + ["inf"] * 3,
+            [[0, 0]] * 7 + [[1, 0]],
+            [[1, 0], [1, 0], [0, 0], "inf"],
+        ],
+        ids=["3,3", "7,1", "2,1,1"],
+    )
+    def test_degenerate_points_keep_their_class(self, capsys, tmp_path, points):
+        # coincident points take one map, so they stay coincident
+        path = write_state(
+            tmp_path, "m.json", {"n": len(points), "basis": "majorana", "points": points}
+        )
+        want = run(capsys, "classify", path)[1]
+        out = str(tmp_path / "moved.json")
+        for mode in ("--lu-random", "--ilo-random", "--time-reversal"):
+            for seed in range(50):
+                assert run(capsys, "transform", path, mode, "--seed", str(seed), "-o", out)[0] == 0
+                assert run(capsys, "classify", out)[1] == want, (mode, seed)
+
+    def test_moved_points_agree_with_the_dicke_path(self, capsys, tmp_path):
+        rng = np.random.default_rng(24)
+        for n in range(3, 17):
+            points = random_points(rng, n)
+            pairs = [[p.value.real, p.value.imag] for p in points]
+            maj = write_state(tmp_path, "m.json", {"n": n, "basis": "majorana", "points": pairs})
+            amps = [[a.real, a.imag] for a in stellarinv.state_from_roots(points).amplitudes]
+            dicke = write_state(tmp_path, "d.json", {"n": n, "basis": "dicke", "amplitudes": amps})
+            for mode in ("--lu-random", "--ilo-random", "--time-reversal"):
+                out = json.loads(run(capsys, "transform", maj, mode, "--seed", str(n))[1])
+                moved = [_json_point(e) for e in out["points"]]
+                out = json.loads(run(capsys, "transform", dicke, mode, "--seed", str(n))[1])
+                state = stellarinv.from_dicke(n, [complex(*a) for a in out["amplitudes"]])
+                overlap = np.vdot(stellarinv.state_from_roots(moved).amplitudes, state.amplitudes)
+                assert 1 - abs(overlap) <= 1e-12, (n, mode)
+                # past n = 10 the moved amplitudes no longer pin the ILO roots down
+                if mode != "--ilo-random":
+                    assert multiset_distance(moved, roots_of(state)) <= 1e-10, (n, mode)
+
+    def test_permuted_file_gives_permuted_points(self, capsys, tmp_path):
+        points = [[0.3, -0.7], [1.2, 0.4], [0, 0], "inf", [-0.8, 0.9], [0, 0]]
+        order = [4, 0, 5, 2, 1, 3]
+        path = write_state(tmp_path, "m.json", {"n": 6, "basis": "majorana", "points": points})
+        shuffled = write_state(
+            tmp_path, "s.json", {"n": 6, "basis": "majorana", "points": [points[i] for i in order]}
+        )
+        for mode in ("--lu-random", "--ilo-random", "--time-reversal"):
+            moved = json.loads(run(capsys, "transform", path, mode, "--seed", "5")[1])["points"]
+            got = json.loads(run(capsys, "transform", shuffled, mode, "--seed", "5")[1])["points"]
+            assert got == [moved[i] for i in order]
 
 
 class TestRoots:

@@ -76,6 +76,12 @@ FILES = {
     ),
     "zeros_and_infinities.json": _majorana([[0, 0], [0, 0], [0, 0], "inf", "inf", "inf"]),
     "double_zero.json": _majorana([[0, 0], [0, 0], [1, 0], [2, 0]]),
+    # a double root next to a simple one and a root at infinity: {2,1,1}
+    "mixed_majorana.json": _majorana([[1, 0], [1, 0], [0, 0], "inf"]),
+    # the W class at n = 8: {7,1}
+    "w8_majorana.json": _majorana([[0, 0]] * 7 + [[1, 0]]),
+    # a point whose modulus is beyond floats, though both parts are finite
+    "overflowing_point.json": _majorana([[1.5e308, 1.5e308], [0, 0], [1, 0]]),
     # expands to coefficients beyond the float range
     "overflowing_polynomial.json": _majorana([[1000, 0]] * 200),
     "far_circle60.json": _majorana(FAR_CIRCLE),
