@@ -18,8 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-#: Relative threshold below which a leading polynomial coefficient counts as
-#: zero, moving one root to infinity.
+#: Relative threshold at or below which an end coefficient of the polynomial
+#: counts as zero, giving an exact root at 0 (low end) or at infinity (top).
 LEADING_COEFF_TOL = 1e-12
 
 #: After normalizing a projective pair to max(|a|, |b|) = 1, a point whose
@@ -198,14 +198,18 @@ class MajoranaPolynomial:
         return self.coefficients.size - 1
 
     @property
-    def degree(self) -> int:
-        """Largest power whose coefficient clears the truncation threshold."""
+    def support(self) -> tuple[int, int]:
+        """Lowest and highest power whose coefficient clears
+        :data:`LEADING_COEFF_TOL` times the largest, (0, 0) for the zero
+        polynomial; the one rule for exact roots at 0 and at infinity."""
         mags = np.abs(self.coefficients)
-        scale = mags.max()
-        if scale == 0.0:
-            return 0
-        above = np.nonzero(mags > LEADING_COEFF_TOL * scale)[0]
-        return int(above[-1])
+        above = np.flatnonzero(mags > LEADING_COEFF_TOL * mags.max())
+        return (int(above[0]), int(above[-1])) if above.size else (0, 0)
+
+    @property
+    def degree(self) -> int:
+        """Highest power of :attr:`support`: n minus the roots at infinity."""
+        return self.support[1]
 
 
 def from_dicke(n: int, amplitudes) -> SymmetricState:

@@ -16,6 +16,7 @@ from stellarinv import (
     SphereVector,
 )
 from stellarinv.errors import DivergentSumError
+from stellarinv.roots import DEFAULT_ROOT_TOL, _MAX_POLISH, _newton_step, _scaled_residuals
 from stellarinv.slocc import DIVERGENCE_THRESHOLD
 
 
@@ -158,6 +159,42 @@ def reference_scaled_residual(asc, z):
     for c in asc[::-1]:
         acc = acc * z + c
     return abs(acc)
+
+
+def reference_find_roots(poly):
+    """The ``np.roots`` route of ``roots.find_roots``: np.roots of the
+    trailing degree-d polynomial, which strips only exactly-zero low
+    coefficients and appends their zeros after the eigenvalues, then the
+    same residual gate and Newton polish, then n - d points at infinity.
+
+    The reference ``find_roots`` matches bit for bit wherever every low
+    coefficient is exactly zero or above the end-coefficient threshold."""
+    coeffs = poly.coefficients
+    scale = np.abs(coeffs).max()
+    d = poly.degree
+    points = []
+    if d > 0:
+        trailing = coeffs[: d + 1]
+        raw = np.roots(trailing[::-1])
+        res = _scaled_residuals(trailing, raw)
+        floor = 64.0 * np.finfo(float).eps * scale
+        asc = trailing.tolist()
+        found = raw.tolist()
+        for i in np.flatnonzero(res > floor).tolist():
+            r, r_res = found[i], res[i]
+            for _ in range(_MAX_POLISH):
+                cand = _newton_step(asc, r)
+                cand_res = _scaled_residuals(trailing, np.array([cand]))[0]
+                if cand_res >= r_res:
+                    break
+                r, r_res = cand, cand_res
+                if r_res <= floor:
+                    break
+            found[i], res[i] = r, r_res
+        assert res.max() <= DEFAULT_ROOT_TOL * scale
+        points.extend(map(RiemannPoint, found))
+    points.extend(RiemannPoint.infinity() for _ in range(poly.n - d))
+    return points
 
 
 def assert_multisets_close(ps, qs, tol):

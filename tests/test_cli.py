@@ -539,6 +539,17 @@ class TestClassify:
         assert out.strip() == "{2,2}"
 
 
+    @pytest.mark.parametrize(
+        "amplitudes", [[1e-17, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1e-17]], ids=["dicke5_4", "w5"]
+    )
+    def test_tiny_end_amplitude_classifies_like_its_mirror(self, capsys, tmp_path, amplitudes):
+        # 1e-17 at either end is an exact root at that pole, not a scattered 4-fold one
+        doc = {"n": 5, "basis": "dicke", "amplitudes": [[a, 0] for a in amplitudes]}
+        code, out, _ = run(capsys, "classify", write_state(tmp_path, "tiny.json", doc))
+        assert code == 0
+        assert out.strip() == "{4,1}"
+
+
 class TestTransform:
     def test_deterministic_for_fixed_seed(self, capsys, tmp_path):
         src = ghz3_file(tmp_path)

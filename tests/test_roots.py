@@ -7,26 +7,34 @@ from helpers import (
     assert_multisets_close,
     inf_point,
     point,
+    random_h,
     random_points,
     random_unit_vector,
+    reference_find_roots,
     reference_linkage,
     reference_scaled_residual,
 )
 from stellarinv import (
     MajoranaPolynomial,
     SphereVector,
+    apply_operator,
     chordal_distance,
     cluster,
     degeneracy_class,
+    dicke_state,
     find_roots,
+    from_dicke,
     from_sphere,
     ghz_state,
+    lu_unitary,
     majorana_polynomial,
     slocc_summary,
+    time_reversal,
+    w_state,
 )
 from stellarinv import roots
 from stellarinv.roots import DEFAULT_ROOT_TOL, _scaled_residuals, single_linkage
-from stellarinv.states import projective_pairs
+from stellarinv.states import LEADING_COEFF_TOL, projective_pairs
 
 EPS = np.finfo(float).eps
 
@@ -144,6 +152,77 @@ class TestFindRoots:
             assert sum(1 for r in roots if r.is_infinite) == n - p.degree
 
 
+def class_of(state):
+    return degeneracy_class(find_roots(majorana_polynomial(state)))
+
+
+def pole_counts(points):
+    """(exact zeros, exact infinities) among the points."""
+    return sum(p.a == 0 for p in points), sum(p.is_infinite for p in points)
+
+
+def bits(points):
+    return [(p.a, p.b) for p in points]
+
+
+class TestOnePoleRule:
+    """One threshold decides exact roots at 0 and at infinity alike."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_z_rotated_dicke_keeps_its_class(self, n):
+        # lu_unitary((0, 0, theta), n) leaks about 1e-16 into zero amplitudes
+        for k in range(n + 1):
+            want = tuple(sorted((m for m in (k, n - k) if m), reverse=True))
+            for theta in (0.3, 1.1, 2.5, 4.0):
+                moved = apply_operator(lu_unitary((0, 0, theta), n), dicke_state(n, k))
+                assert class_of(moved) == want, (k, theta)
+
+    def test_tiny_end_classifies_like_its_time_reverse(self):
+        rng = np.random.default_rng(2009)
+        snapped = 0
+        for _ in range(400):
+            n = int(rng.integers(3, 11))
+            a = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            a[: int(rng.integers(1, n - 1))] *= 10.0 ** -rng.uniform(12.2, 17)
+            state = from_dicke(n, a if rng.random() < 0.5 else a[::-1])
+            mirror = time_reversal(state)
+            assert class_of(state) == class_of(mirror)
+            zeros, infs = pole_counts(find_roots(majorana_polynomial(state)))
+            assert pole_counts(find_roots(majorana_polynomial(mirror))) == (infs, zeros)
+            snapped += zeros + infs > 0
+        assert snapped > 200  # most draws fall below the threshold
+
+    def test_poles_are_appended_unpolished(self):
+        # 1e-13 at both ends, above the polish floor at 0: an exact 0 and an
+        # exact infinity follow the roots of 1 + a^2
+        got = find_roots(poly([1e-13, 1, 0, 1, 1e-13]))
+        assert bits(got[2:]) == [(0j, 1 + 0j), (1 + 0j, 0j)]
+        assert_multisets_close(got[:2], [point(1j), point(-1j)], 1e-12)
+
+    def test_matches_np_roots_reference_bit_for_bit(self):
+        # wherever every low coefficient is exactly zero or above the threshold
+        rng = np.random.default_rng(1101)
+        states = []
+        for _ in range(200):
+            n = int(rng.integers(1, 33))
+            a = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            a[: int(rng.integers(0, n + 1))] = 0.0
+            states.append(from_dicke(n, a))
+        for n in range(2, 25):
+            family = [ghz_state(n), w_state(n), *(dicke_state(n, k) for k in range(n + 1))]
+            states += family
+            states += [apply_operator(lu_unitary(random_h(rng), n), s) for s in family]
+        compared = 0
+        for state in states:
+            p = majorana_polynomial(state)
+            mags = np.abs(p.coefficients)
+            if mags[mags > 0][0] <= LEADING_COEFF_TOL * mags.max():
+                continue  # a nonzero low coefficient snaps to zero: the rules differ
+            assert bits(find_roots(p)) == bits(reference_find_roots(p))
+            compared += 1
+        assert compared > 500
+
+
 class TestCluster:
     def test_exact_coincidence(self):
         pts = [point(0), inf_point(), inf_point()]
@@ -249,6 +328,14 @@ class TestSingleLinkage:
         assert degeneracy_class([p], 1e-7) == (1,)
         [(rep, mult)] = cluster([p], 1e-7)
         assert mult == 1 and chordal_distance(rep, p) <= 1e-15
+
+    def test_unlinked_points_label_like_linked_ones(self):
+        # no pair within tol: every point is its own group, in the linked path's dtype
+        pts = projective_pairs([point(0), point(1), inf_point(), point(-2j)])
+        linked = single_linkage(pts, 2.0)
+        got = single_linkage(pts, 1e-7)
+        assert got.tolist() == [0, 1, 2, 3] and linked.tolist() == [0, 0, 0, 0]
+        assert got.dtype == linked.dtype
 
     @pytest.mark.parametrize("tol", [0.0, -1e-7])
     def test_non_positive_tol_rejected(self, tol):

@@ -87,6 +87,28 @@ class TestMajoranaPolynomial:
     def test_zero_polynomial_has_degree_zero(self):
         assert MajoranaPolynomial([0, 0, 0]).degree == 0
 
+    def test_support_of_zero_polynomial(self):
+        assert MajoranaPolynomial([0, 0, 0]).support == (0, 0)
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_support_of_monomial(self, k):
+        c = np.zeros(6, dtype=complex)
+        c[k] = 1e-300 + 2e-300j
+        assert MajoranaPolynomial(c).support == (k, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_support_of_w_state(self, n):
+        poly = majorana_polynomial(dicke_state(n, 1))
+        assert poly.support == (1, 1)
+        assert poly.degree == 1
+
+    def test_support_drops_ends_at_or_below_threshold(self):
+        # 1e-12 of the largest is dropped at either end, anything above it kept
+        poly = MajoranaPolynomial([1e-12, 2e-12, 1, 0, 1, 1e-12])
+        assert poly.support == (1, 4)
+        assert poly.degree == 4
+        assert MajoranaPolynomial([3e-13j, 0, 1, -3e-13, 0]).support == (2, 2)
+
     def test_ghz3_coefficients(self):
         poly = majorana_polynomial(from_dicke(3, [1, 0, 0, 1]))
         # proportional to 1 + alpha^3

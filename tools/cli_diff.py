@@ -117,6 +117,23 @@ FILES = {
     ),
 }
 
+#: Mirror images whose amplitude at one end is 1e-17, far below the 1e-12
+#: end-coefficient threshold: both are {4,1}, four exact roots at one pole and
+#: one at the other.  They take only :data:`MIRROR_COMMANDS`.
+MIRRORS = {
+    "dicke5_4_tiny.json": {
+        "n": 5,
+        "basis": "dicke",
+        "amplitudes": [[1e-17, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0]],
+    },
+    "w5_tiny.json": {
+        "n": 5,
+        "basis": "dicke",
+        "amplitudes": [[0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [1e-17, 0]],
+    },
+}
+MIRROR_COMMANDS = [["classify"], ["roots"], ["invariants"]]
+
 #: Commands run on every state file, the file name going second.
 FILE_COMMANDS = [
     ["invariants"],
@@ -253,6 +270,9 @@ def main(argv: list[str]) -> int:
         names = sorted(p.name for p in workdir.iterdir())
         argvs = [[cmd[0], name, *cmd[1:]] for name in names for cmd in FILE_COMMANDS]
         argvs += GENERATE + UNWRITABLE + HELP
+        for name, doc in MIRRORS.items():
+            (workdir / name).write_text(json.dumps(doc))
+        argvs += [[cmd[0], name, *cmd[1:]] for name in MIRRORS for cmd in MIRROR_COMMANDS]
         before = run_tree(old, workdir, argvs)
         after = run_tree(new, workdir, argvs)
     differing = 0
