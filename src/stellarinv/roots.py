@@ -58,14 +58,13 @@ def find_roots(poly: MajoranaPolynomial) -> list[RiemannPoint]:
     """All n roots of the polynomial, points at infinity included.
 
     With low and d the ends of
-    :attr:`~stellarinv.states.MajoranaPolynomial.support`, the roots are the
-    eigenvalues of the companion matrix of the powers low..d (the matrix
-    ``np.roots`` builds), then low exact zeros and n - d exact points at
-    infinity.  Eigenvalues whose scaled residual (:func:`_scaled_residuals`)
-    on the trailing degree-d polynomial lies above the machine-precision
-    floor are polished with a few Newton steps, each kept only if that
-    residual falls; the exact poles are neither gated nor polished.  Each
-    finite root satisfies the scaled residual bound
+    :attr:`~stellarinv.states.MajoranaPolynomial.support`, the roots are
+    ``np.roots`` of the kept powers low..d (companion-matrix eigenvalues),
+    then low exact zeros and n - d exact points at infinity.  Eigenvalues
+    whose scaled residual (:func:`_scaled_residuals`) on the kept polynomial
+    lies above the machine-precision floor are polished with a few Newton
+    steps, each kept only if that residual falls; the exact poles are neither
+    gated nor polished.  Each finite root satisfies the scaled residual bound
     |P(root)| <= :data:`DEFAULT_ROOT_TOL` * max|coefficient|.
     """
     coeffs = poly.coefficients
@@ -75,11 +74,9 @@ def find_roots(poly: MajoranaPolynomial) -> list[RiemannPoint]:
     low, d = poly.support
     found: list[complex] = []
     if d > low:
-        kept = coeffs[low : d + 1][::-1]
-        companion = np.diag(np.ones(d - low - 1, dtype=complex), -1)
-        companion[0] = -kept[1:] / kept[0]
-        raw = np.linalg.eigvals(companion)
-        trailing = coeffs[: d + 1]
+        raw = np.roots(coeffs[low : d + 1][::-1])
+        trailing = coeffs[: d + 1].copy()
+        trailing[:low] = 0.0  # the snapped powers are exact zero roots
         res = _scaled_residuals(trailing, raw)
         bound = DEFAULT_ROOT_TOL * scale
         # polish to the machine-precision floor, not merely to the bound:
@@ -120,12 +117,12 @@ def single_linkage(pairs: np.ndarray, tol: float) -> np.ndarray:
     linkage at chordal distance <= ``tol`` (transitive: a chain of such steps
     links a group), groups numbered in order of their smallest member; the one
     test of "same point".  Distances come in row blocks of at most
-    :data:`_LINK_CHUNK`; union-find is built only once a pair links, usually never.
+    :data:`_LINK_CHUNK`; union-find visits only the linked pairs, usually none.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = len(pairs)
-    parent: list[int] = []
+    parent = list(range(m))
 
     def find(i):
         while parent[i] != i:
@@ -139,13 +136,9 @@ def single_linkage(pairs: np.ndarray, tol: float) -> np.ndarray:
         _, dist = projective_differences(pairs[start : start + step], pairs[start:])
         rows, cols = np.nonzero(dist <= tol)
         upper = rows < cols
-        if upper.any() and not parent:
-            parent.extend(range(m))
         for i, j in zip((rows[upper] + start).tolist(), (cols[upper] + start).tolist()):
             parent[find(i)] = find(j)
 
-    if not parent:
-        return np.arange(m)
     label: dict[int, int] = {}
     return np.array([label.setdefault(find(i), len(label)) for i in range(m)], dtype=int)
 

@@ -317,8 +317,7 @@ def slocc_summary(
     sums: dict[int, complex] = {}
     divergent = False
     if n >= 4 and len(signature) >= 3:
-        first = labels.tolist()  # groups are numbered by their first member
-        triple = [first.index(g) for g in range(3)]
+        triple = np.unique(labels, return_index=True)[1][:3].tolist()
         det, _ = projective_differences(pairs, pairs[triple])
         lam_vec = _lambdas(det, triple)
         if n == 4 and simple:

@@ -192,6 +192,24 @@ class TestOnePoleRule:
             snapped += zeros + infs > 0
         assert snapped > 200  # most draws fall below the threshold
 
+    def test_tiny_end_finite_roots_are_antipodes_of_its_time_reverse(self):
+        # both sides gate and polish against the kept powers, so a snapped end
+        # coefficient steers neither
+        rng = np.random.default_rng(2828)
+        for _ in range(200):
+            n = int(rng.integers(3, 11))
+            a = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            a[: int(rng.integers(1, n - 1))] *= 10.0 ** -rng.uniform(12.2, 17)
+            state = from_dicke(n, a if rng.random() < 0.5 else a[::-1])
+            mirror = time_reversal(state)
+            finite = [p for p in find_roots(majorana_polynomial(state)) if p.a != 0 and p.b != 0]
+            moved = [
+                p.antipode()
+                for p in find_roots(majorana_polynomial(mirror))
+                if p.a != 0 and p.b != 0
+            ]
+            assert_multisets_close(finite, moved, 1e-13)
+
     def test_poles_are_appended_unpolished(self):
         # 1e-13 at both ends, above the polish floor at 0: an exact 0 and an
         # exact infinity follow the roots of 1 + a^2
@@ -328,14 +346,6 @@ class TestSingleLinkage:
         assert degeneracy_class([p], 1e-7) == (1,)
         [(rep, mult)] = cluster([p], 1e-7)
         assert mult == 1 and chordal_distance(rep, p) <= 1e-15
-
-    def test_unlinked_points_label_like_linked_ones(self):
-        # no pair within tol: every point is its own group, in the linked path's dtype
-        pts = projective_pairs([point(0), point(1), inf_point(), point(-2j)])
-        linked = single_linkage(pts, 2.0)
-        got = single_linkage(pts, 1e-7)
-        assert got.tolist() == [0, 1, 2, 3] and linked.tolist() == [0, 0, 0, 0]
-        assert got.dtype == linked.dtype
 
     @pytest.mark.parametrize("tol", [0.0, -1e-7])
     def test_non_positive_tol_rejected(self, tol):
