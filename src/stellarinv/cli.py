@@ -70,7 +70,8 @@ class _CliError(Exception):
 
 
 def _sig15(x: float) -> float:
-    return float(f"{float(x):.15g}")
+    rounded = float(f"{float(x):.15g}")
+    return rounded if math.isfinite(rounded) else float(x)  # the largest floats round up to inf
 
 
 def _num(z) -> list[float]:
@@ -262,8 +263,7 @@ def cmd_invariants(args) -> int:
         summary = slocc_summary(pts, args.tol)
         if args.slocc and n == 4 and summary.klein_j is None:
             raise DegenerateInputError(
-                "a repeated root, or roots close enough that the cross ratio passes 1e12"
-                " and is stored as inf, put the cross ratio on the degenerate orbit {0, 1, inf}"
+                "degenerate cross ratio: J is on its pole (a repeated root) or beyond floats"
             )
         sections["slocc"] = _slocc_section(summary)
     if args.oracle_check:

@@ -7,10 +7,13 @@ pairs, which keeps arguments at infinity exact rather than approximated by
 large floats.  One rule decides which roots are the same: the groups of
 :func:`~stellarinv.roots.single_linkage`, at a summary's ``tol`` or at
 :data:`COINCIDENCE_TOL` for points passed to a stand-alone function.  A group
-of several roots is a repeated root, a degenerate class of its own.
+of several roots is a repeated root, a degenerate class of its own; roots of
+distinct groups are distinct however close, and only a value beyond floats
+is infinite or divergent.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,10 +30,6 @@ from .states import RiemannPoint, projective_differences, projective_pairs
 #: Single-linkage tolerance at which the stand-alone functions group the
 #: caller's points; a summary groups its roots at its ``tol``.
 COINCIDENCE_TOL = 1e-12
-
-#: Any transformed cross ratio beyond this magnitude marks a divergent
-#: permutation sum.
-DIVERGENCE_THRESHOLD = 1e12
 
 #: Most roots :func:`symmetrized_ik` takes.  All its terms are summed in one
 #: pass: at n = 17, 24 C(n, 4) = 57,120 ordered 4-tuples, and an orbit table
@@ -80,43 +79,41 @@ def anharmonic_orbit(lam) -> list[RiemannPoint]:
     ]
 
 
+def _off_poles(lam, form) -> complex:
+    """``form`` at ``lam``, a rational function with its poles on the orbit
+    {0, 1, infinity}; ``DegenerateInputError`` on a pole, and so near one
+    that the value, or a power in ``form``, is beyond floats."""
+    p = as_point(lam)
+    try:  # no value at infinity, a zero denominator, or a power beyond floats
+        value = form(p.value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        value = complex("inf")
+    if not cmath.isfinite(value):
+        raise DegenerateInputError(f"{p!r} is on or near a pole {{0, 1, infinity}}: no float value")
+    return value
+
+
 def klein_j(lam) -> complex:
     """Klein modular invariant J(l) = 4 (l^2 - l + 1)^3 / (27 l^2 (l - 1)^2).
 
     Constant on each anharmonic orbit; 1 at harmonic and 0 at equianharmonic
-    configurations.  Raises on the orbit of the degenerate values {0, 1,
-    infinity}, where J has poles.
+    configurations.  Raises as :func:`_off_poles` on and near the poles of J,
+    the orbit of the degenerate values {0, 1, infinity}.
     """
-    p = as_point(lam)
-    if p.is_infinite:
-        raise DegenerateInputError("J has a pole at infinity")
-    z = p.value
-    den = 27.0 * z * z * (z - 1.0) ** 2
-    if den == 0:
-        raise DegenerateInputError(f"J has a pole at lambda = {z}")
-    return 4.0 * (z * z - z + 1.0) ** 3 / den
+    return _off_poles(lam, lambda z: 4.0 * (z * z - z + 1.0) ** 3 / (27.0 * z * z * (z - 1.0) ** 2))
 
 
 def i2_closed_n4(lam) -> complex:
     """Closed-form symmetrized quadratic invariant of four roots.
 
     Evaluates (2(l^6+1) - 6(l^5+l) + 9(l^4+l^2) - 8 l^3) / (l^2 (l-1)^2),
-    which equals -3 + (27/2) J(l) identically.
+    which equals -3 + (27/2) J(l) identically; raises as :func:`_off_poles`.
     """
-    p = as_point(lam)
-    if p.is_infinite:
-        raise DegenerateInputError("pole at infinity")
-    z = p.value
-    den = z * z * (z - 1.0) ** 2
-    if den == 0:
-        raise DegenerateInputError(f"pole at lambda = {z}")
-    num = (
-        2.0 * (z**6 + 1.0)
-        - 6.0 * (z**5 + z)
-        + 9.0 * (z**4 + z * z)
-        - 8.0 * z**3
+    return _off_poles(
+        lam,
+        lambda z: (2.0 * (z**6 + 1.0) - 6.0 * (z**5 + z) + 9.0 * (z**4 + z * z) - 8.0 * z**3)
+        / (z * z * (z - 1.0) ** 2),
     )
-    return num / den
 
 
 def lambda_vector(roots: Sequence[RiemannPoint]) -> list[RiemannPoint]:
@@ -166,10 +163,10 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> complex:
     ``math.fsum``, so the sum is exactly rounded and does not depend on the
     order of the roots.  More than :data:`MAX_IK_N` roots raise
     ``ValueError`` before any term is formed.  The roots are grouped at
-    :data:`COINCIDENCE_TOL`, as
-    :func:`slocc_summary` groups them at its ``tol``: fewer than three
-    groups raise ``ValueError`` (no ordering has a triple to normalize by),
-    and a group of several, a repeated root, raises ``DivergentSumError``.
+    :data:`COINCIDENCE_TOL`, as :func:`slocc_summary` groups them at its
+    ``tol``: fewer than three groups raise ``ValueError`` (no ordering has a
+    triple to normalize by), and a group of several, a repeated root, or a
+    sum beyond floats raises ``DivergentSumError``.
     """
     if k < 1:
         raise ValueError("power k must be a positive integer")
@@ -235,10 +232,10 @@ def _power_sums(pairs: np.ndarray, powers: Sequence[int]) -> dict[int, complex]:
     :func:`_orbit_factors`.
 
     Over :func:`_differences`, with num and den from :func:`_times`, the four
-    members of an orbit have the same num and den bits, so they agree on the
-    divergence test and on their terms: the representatives' sum weighted by
-    4 (n-4)! is the sum over every tuple weighted by (n-4)!, exactly, with
-    one ``math.fsum`` per real or imaginary part.
+    members of an orbit have the same num and den bits, so they agree on
+    their terms: the representatives' sum weighted by 4 (n-4)! is the sum
+    over every tuple weighted by (n-4)!, exactly, with one ``math.fsum`` per
+    real or imaginary part.  A sum beyond floats raises ``DivergentSumError``.
     """
     n = len(pairs)
     det_re, det_im = (part.ravel() for part in _differences(pairs))
@@ -247,14 +244,19 @@ def _power_sums(pairs: np.ndarray, powers: Sequence[int]) -> dict[int, complex]:
     den = np.empty_like(num)
     num.real, num.imag = _times(det_re[p41], det_im[p41], det_re[p23], det_im[p23])
     den.real, den.imag = _times(det_re[p43], det_im[p43], det_re[p21], det_im[p21])
-    if np.any(abs(den) * DIVERGENCE_THRESHOLD <= abs(num)):
-        raise DivergentSumError("transformed cross ratio exceeds the divergence threshold")
-    ratio = num / den
     weight = 4 * math.factorial(n - 4)
     sums = {}
-    for k in powers:
-        terms = ratio**k
-        sums[k] = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) * weight
+    with np.errstate(all="ignore"):
+        ratio = num / den
+        for k in powers:
+            terms = ratio**k
+            try:  # fsum raises on a partial sum beyond floats, or on inf - inf
+                total = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+            except (OverflowError, ValueError):
+                total = complex("nan")
+            sums[k] = total * weight
+            if not cmath.isfinite(sums[k]):
+                raise DivergentSumError(f"the power-{k} sum is beyond the float range")
     return sums
 
 

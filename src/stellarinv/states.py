@@ -22,9 +22,9 @@ import numpy as np
 #: counts as zero, giving an exact root at 0 (low end) or at infinity (top).
 LEADING_COEFF_TOL = 1e-12
 
-#: After normalizing a projective pair to max(|a|, |b|) = 1, a point whose
-#: |b| falls at or below this bound is the point at infinity.
-INFINITY_TOL = 1e-12
+#: Smallest normal float.  After scaling a projective pair to max(|a|, |b|) = 1,
+#: a point whose |b| falls below it is the point at infinity, where a/b can overflow.
+INFINITY_TOL = float(np.finfo(float).tiny)
 
 _NORM_TOL = 1e-12
 
@@ -37,26 +37,24 @@ class RiemannPoint:
     """Point on the extended complex plane, stored as a projective pair.
 
     ``(a, b)`` represents alpha = a/b, with b = 0 the point at infinity.
-    Pairs are rescaled so that max(|a|, |b|) = 1; any pair with |b| below
-    :data:`INFINITY_TOL` after rescaling collapses to the exact infinity
-    pair (1, 0).  Scaling a pair by a nonzero complex number leaves the
-    point unchanged.
+    Pairs are rescaled so that max(|a|, |b|) = 1; a pair whose |b| then falls
+    below :data:`INFINITY_TOL` collapses to the exact infinity pair (1, 0),
+    so every other point has a finite float value a/b.  Scaling a pair by a
+    nonzero complex number leaves the point unchanged.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: complex, b: complex = 1.0):
-        a = complex(a)
-        b = complex(b)
-        scale = max(abs(a), abs(b))
-        if scale == 0.0 or not (isfinite(abs(a)) and isfinite(abs(b))):
+        a, b = complex(a), complex(b)
+        abs_a, abs_b = abs(a), abs(b)
+        scale = max(abs_a, abs_b)
+        if scale == 0.0 or not (isfinite(abs_a) and isfinite(abs_b)):
             raise ValueError(f"invalid projective pair ({a}, {b})")
-        a /= scale
-        b /= scale
-        if abs(b) <= INFINITY_TOL:
-            a, b = 1.0 + 0.0j, 0.0j
-        self.a = a
-        self.b = b
+        if abs_b / scale < INFINITY_TOL:
+            a, b, scale = 1.0 + 0.0j, 0.0j, 1.0
+        self.a = a / scale
+        self.b = b / scale
 
     @classmethod
     def infinity(cls) -> "RiemannPoint":

@@ -1,4 +1,5 @@
 """Shared sampling and comparison helpers for the test suite."""
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from stellarinv import (
 )
 from stellarinv.errors import DivergentSumError
 from stellarinv.roots import DEFAULT_ROOT_TOL, _MAX_POLISH, _newton_step, _scaled_residuals
-from stellarinv.slocc import DIVERGENCE_THRESHOLD
 
 
 def random_state(rng, n):
@@ -124,8 +124,9 @@ def reference_power_sums(points, powers):
     The reference for ``slocc.symmetrized_ik``, which sums one tuple per
     Klein-four orbit.  Every projective difference a_x b_y - b_x a_y and
     every term's numerator and denominator is formed on its own from real
-    products rounded once, as the program forms them, and the divergence
-    test, the ratios and the powers run in numpy, as there.
+    products rounded once, as the program forms them, and the ratios and
+    the powers run in numpy, as there.  A sum that is not a finite float,
+    the program's one divergence rule, raises ``DivergentSumError``.
     """
 
     def times(x, y):
@@ -138,13 +139,18 @@ def reference_power_sums(points, powers):
         num.append(times(det[i4][i1], det[i2][i3]))
         den.append(times(det[i4][i3], det[i2][i1]))
     num, den = np.array(num), np.array(den)
-    if np.any(abs(den) * DIVERGENCE_THRESHOLD <= abs(num)):
-        raise DivergentSumError("a term passes the divergence threshold")
     weight = math.factorial(len(pairs) - 4)
     sums = {}
     for k in powers:
-        terms = (num / den) ** k
-        sums[k] = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) * weight
+        with np.errstate(all="ignore"):
+            terms = (num / den) ** k
+        try:
+            parts = math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
+        except (OverflowError, ValueError):
+            raise DivergentSumError("a partial sum is beyond the float range")
+        sums[k] = complex(*parts) * weight
+        if not cmath.isfinite(sums[k]):
+            raise DivergentSumError("the sum is beyond the float range")
     return sums
 
 

@@ -11,12 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stellarinv
 from helpers import multiset_distance, random_points, roots_of
 from stellarinv.cli import main
+
+
+def _no_constant(name):
+    """``parse_constant`` of strict JSON: NaN and Infinity are no JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def run(capsys, *argv):
@@ -368,22 +373,24 @@ class TestInvariants:
         assert code == 4
         assert "degenerate" in err
 
-    def test_close_pairs_exit_4_names_the_cross_ratio_cause(self, capsys, tmp_path):
+    def test_close_pairs_are_four_simple_roots(self, capsys, tmp_path):
         # four simple roots at --tol, in two pairs 2e-7 apart: lambda is about
-        # -2.5e13, which the 1e-12 infinity rule of RiemannPoint stores as inf
+        # -2.5e13, a finite float, so J and the power sums are given
         path = write_state(
             tmp_path,
             "pairs.json",
             {"n": 4, "basis": "majorana", "points": [[0, 0], [2e-7, 0], [1, 0], [1.0000002, 0]]},
         )
-        code, out, _ = run(capsys, "invariants", path)
-        assert code == 0
-        slocc = json.loads(out)["slocc"]
-        assert (slocc["degeneracy"], slocc["lambda_vector"]) == ([1, 1, 1, 1], ["inf"])
         code, out, err = run(capsys, "invariants", path, "--slocc")
-        assert (code, out) == (4, "")
-        assert "a repeated root" in err
-        assert "cross ratio passes 1e12" in err
+        assert code == 0, err
+        slocc = json.loads(out, parse_constant=_no_constant)["slocc"]
+        assert slocc["degeneracy"] == [1, 1, 1, 1]
+        [lam] = slocc["lambda_vector"]
+        np.testing.assert_allclose(lam, [-2.50000000092e13, 0.0], rtol=1e-11)
+        np.testing.assert_allclose(slocc["klein_j"], [9.25925926605e25, 0.0], rtol=1e-11)
+        assert sorted(slocc["symmetrized"]) == ["2", "4"]
+        assert all(math.isfinite(c) for v in slocc["symmetrized"].values() for c in v)
+        assert "symmetrized_divergent" not in slocc
 
     @pytest.mark.parametrize("extra", [[], [[-2, 1]]], ids=["n4", "n5"])
     def test_near_coincident_chain_exits_0(self, capsys, tmp_path, extra):
@@ -877,9 +884,24 @@ class TestOutputFailures:
         assert (out.returncode, out.stderr) == (0, "")
 
 
+#: Points at 1e-320, 1e-300 and 4e-13, whose antipodes lie beyond floats, near
+#: the top of the float range and at -2.5e12.
+_TINY_POINTS = json.dumps(
+    {"n": 3, "basis": "majorana", "points": [[1e-320, 0], [1e-300, 0], [4e-13, 0]]}
+)
+#: Four simple roots at --tol 1e-300 in two pairs 1e-160 apart, one pair at 0
+#: and one at infinity: lambda and J are beyond floats.
+_FAR_PAIRS = json.dumps(
+    {"n": 4, "basis": "majorana", "points": [[0, 0], [1e-160, 0], "inf", [1e160, 0]]}
+)
+
+
 class TestFuzz:
     @settings(max_examples=80, deadline=None)
     @given(text=state_texts(), command=st.sampled_from(_COMMANDS))
+    @example(text=_TINY_POINTS, command=["transform", "--time-reversal"])
+    @example(text=_FAR_PAIRS, command=["invariants", "--slocc", "--tol", "1e-300"])
+    @example(text=_FAR_PAIRS, command=["invariants", "--tol", "1e-300"])
     def test_state_files_end_in_a_known_exit_code(self, tmp_path_factory, text, command):
         path = tmp_path_factory.getbasetemp() / "fuzz.state.json"
         path.write_text(text)
@@ -891,7 +913,35 @@ class TestFuzz:
         if code == 0 and command[0] == "classify":  # a label such as {2,1} W
             assert re.fullmatch(r"\{\d+(,\d+)*\}( [\w-]+)?\n", out.getvalue())
         elif code == 0:
-            json.loads(out.getvalue())
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+
+    def test_largest_floats_print_as_numbers(self):
+        # 15 significant digits of the largest floats round past the float range
+        big = np.finfo(float).max
+        assert stellarinv.cli._sig15(big) == big and stellarinv.cli._sig15(-big) == -big
+        assert stellarinv.cli._num(complex(1.5, big)) == [1.5, big]
+
+    def test_antipodes_near_the_float_range_stay_finite(self, capsys, tmp_path):
+        path = write_state(tmp_path, "tiny.json", json.loads(_TINY_POINTS))
+        code, out, err = run(capsys, "transform", path, "--time-reversal")
+        assert code == 0, err
+        doc = json.loads(out, parse_constant=_no_constant)
+        assert doc["points"] == ["inf", [-1e300, 0.0], [-2500000000000.0, 0.0]]
+
+    @pytest.mark.parametrize("spacing", [1e-160, 1e-100])
+    def test_j_beyond_floats_exits_4_without_infinity(self, capsys, tmp_path, spacing):
+        # lambda is about 1/spacing^2: at 1e-160 beyond floats, at 1e-100 a
+        # float whose J is not
+        points = [[0, 0], [spacing, 0], "inf", [1 / spacing, 0]]
+        path = write_state(tmp_path, "far.json", {"n": 4, "basis": "majorana", "points": points})
+        code, out, err = run(capsys, "invariants", path, "--slocc", "--tol", "1e-300")
+        assert (code, out) == (4, "")
+        assert "degenerate" in err
+        code, out, err = run(capsys, "invariants", path, "--tol", "1e-300")
+        assert code == 0, err
+        slocc = json.loads(out, parse_constant=_no_constant)["slocc"]
+        assert slocc["degeneracy"] == [1, 1, 1, 1]
+        assert "klein_j" not in slocc and slocc["symmetrized_divergent"]
 
 
 def test_cli_diff_finds_no_difference_within_one_tree():

@@ -170,6 +170,12 @@ class TestKleinJ:
             with pytest.raises(DegenerateInputError):
                 klein_j(bad)
 
+    @pytest.mark.parametrize("lam", [1e200, 1e-160, 1 - 1e-160j], ids=str)
+    def test_values_beyond_floats_raise(self, lam):
+        # J is about 4 / (27 d^2) at a distance d from a pole, or 4 l^2 / 27
+        with pytest.raises(DegenerateInputError, match="no float value"):
+            klein_j(lam)
+
     def test_constant_on_orbits(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
@@ -359,6 +365,23 @@ class TestSymmetrizedIk:
             want = math.factorial(n) / 2.0
             assert abs(res - want) <= 1e-9 * want
 
+    def test_close_simple_pairs_match_the_closed_form(self):
+        # two pairs 1e-9 apart are four simple roots: lambda is about -1e18,
+        # and every term of the sum is a float
+        pts = [point(z) for z in (0, 1e-9, 1, 1 + 1e-9)]
+        lam = lambda_vector(pts)[0]
+        assert abs(lam.value + 1e18) <= 1e-6 * 1e18
+        want = 4.0 * i2_closed_n4(lam)
+        assert abs(symmetrized_ik(pts, 2) - want) <= 1e-12 * abs(want)
+
+    def test_sum_beyond_floats_diverges(self):
+        # four simple roots at a tolerance below their spacing, 1e-100 apart
+        # in two pairs: lambda is about 1e200, and its square is beyond floats
+        summary = slocc_summary([point(0), point(1e-100), inf_point(), point(1e100)], 1e-300)
+        assert summary.degeneracy == (1, 1, 1, 1) and summary.divergent
+        assert abs(summary.lambda_vector[0].value) == pytest.approx(1e200)
+        assert summary.klein_j is None and summary.symmetrized == {}
+
     def test_repeated_roots_diverge(self):
         pts = [point(0), point(0), point(1), inf_point()]
         with pytest.raises(DivergentSumError):
@@ -442,6 +465,7 @@ class TestOneTermPerKleinFourOrbit:
     @example(pts=[point(z) for z in (0, 1, -1, 2, 0.5, -3)])
     @example(pts=[point(z) for z in (0, 1j, 1, 2 + 1j, -1)] + [inf_point()])
     @example(pts=ghz4_roots())
+    @example(pts=[point(z) for z in (0, 1e-6, 1, 1 + 1e-6, 2j)])  # cross ratios near 1e12
     @example(pts=[point(complex(x, y) / 4) for x in range(-2, 2) for y in range(-1, 2)])
     @example(pts=[point(0.3 * k + 0.1j * k * k - 0.05j) for k in range(-8, 8)] + [inf_point()])
     def test_equals_the_sum_over_every_tuple(self, pts):

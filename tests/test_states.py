@@ -2,7 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import assert_multisets_close, inf_point, point, random_points, roots_of
@@ -22,6 +22,8 @@ from stellarinv import (
 from stellarinv.states import binomial_factors
 
 SQ2 = np.sqrt(2.0)
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 class TestFromDicke:
@@ -77,10 +79,49 @@ def test_families_refuse_a_non_positive_qubit_count(n):
             make(*args)
 
 
+def pair_bits(p):
+    return np.array([p.a, p.b]).tobytes()
+
+
+#: Bits of the exact infinity pair (1, 0).
+INFINITY_BITS = np.array([1, 0], dtype=complex).tobytes()
+
+
 class TestRiemannPoint:
     def test_repr(self):
         assert repr(point(0.5)) == "RiemannPoint((0.5+0j))"
         assert repr(inf_point()) == "RiemannPoint(inf)"
+
+    @pytest.mark.parametrize(
+        "a, b", [(1, 1e-309), (1e300, 1e-10), (2j, 5e-324), (-3.0, 0.0)], ids=str
+    )
+    def test_pair_below_the_smallest_normal_is_exactly_infinity(self, a, b):
+        assert pair_bits(RiemannPoint(a, b)) == INFINITY_BITS
+
+    @pytest.mark.parametrize("b", [TINY, 4e-13, 1e-300], ids=str)
+    def test_pair_from_the_smallest_normal_on_is_finite(self, b):
+        p = RiemannPoint(-1.0, b)
+        assert not p.is_infinite
+        assert p.value == -1.0 / b and np.isfinite(p.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_r=st.floats(-300, 300), angle=st.floats(0, 2 * np.pi))
+    @example(log_r=-300.0, angle=0.0)
+    @example(log_r=300.0, angle=np.pi / 2)
+    def test_antipode_twice_gives_the_point_back(self, log_r, angle):
+        z = 10.0**log_r * complex(np.cos(angle), np.sin(angle))
+        p = point(z)
+        q = p.antipode().antipode()
+        assert not q.is_infinite
+        assert abs(q.value - p.value) <= 4 * EPS * abs(p.value)
+        if max(abs(p.a), abs(p.b)) == 1.0:  # no rescaling rounds: the pair comes back negated
+            assert (q.a, q.b) == (-p.a, -p.b) and q.value == p.value
+
+    def test_antipode_twice_at_the_poles(self):
+        zero, inf = point(0), inf_point()
+        assert zero.antipode().is_infinite and inf.antipode().value == 0
+        assert zero.antipode().antipode().value == 0
+        assert pair_bits(inf.antipode().antipode()) == INFINITY_BITS
 
 
 class TestMajoranaPolynomial:

@@ -103,9 +103,11 @@ FILES = {
         "basis": "dicke",
         "amplitudes": [[0.42, -0.17], [-0.31, 0.58], [0.23, 0.51]],
     },
-    # four simple roots in two pairs 2e-7 apart: lambda is about -2.5e13,
-    # past the 1e12 at which a point is stored as infinity
+    # four simple roots in two pairs 2e-7 apart: lambda is about -2.5e13, a
+    # finite float like any whose pair keeps |b| above the smallest normal
     "close_pairs.json": _majorana([[0, 0], [2e-7, 0], [1, 0], [1.0000002, 0]]),
+    # antipodes beyond floats, near their top and at -2.5e12
+    "tiny_points.json": _majorana([[1e-320, 0], [1e-300, 0], [4e-13, 0]]),
     # roots 1 and 3 are one exact double root
     "double_root_n4.json": _majorana(
         [
