@@ -82,38 +82,43 @@ def anharmonic_orbit(lam) -> list[RiemannPoint]:
 def _off_poles(lam, form) -> complex:
     """``form`` at ``lam``, a rational function with its poles on the orbit
     {0, 1, infinity}; ``DegenerateInputError`` on a pole, and so near one
-    that the value, or a power in ``form``, is beyond floats."""
+    that the value, or a factor in ``form``, is beyond floats."""
     p = as_point(lam)
-    try:  # no value at infinity, a zero denominator, or a power beyond floats
+    try:  # no value at infinity, or a zero denominator
         value = form(p.value)
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except (ValueError, ZeroDivisionError):
         value = complex("inf")
     if not cmath.isfinite(value):
         raise DegenerateInputError(f"{p!r} is on or near a pole {{0, 1, infinity}}: no float value")
     return value
 
 
+def _j(z: complex) -> complex:
+    """J at a finite z off the poles, as t (t / s)^2 with s = z (z - 1) and
+    t = s + 1, times 4/27 first: no factor leaves the floats before J does."""
+    s = z * (z - 1.0)
+    t = s + 1.0
+    q = t / s
+    return 4.0 / 27.0 * t * q * q
+
+
 def klein_j(lam) -> complex:
     """Klein modular invariant J(l) = 4 (l^2 - l + 1)^3 / (27 l^2 (l - 1)^2).
 
     Constant on each anharmonic orbit; 1 at harmonic and 0 at equianharmonic
-    configurations.  Raises as :func:`_off_poles` on and near the poles of J,
-    the orbit of the degenerate values {0, 1, infinity}.
+    configurations.  A value for |l| up to about 1.3e154 and for l down to
+    about 3e-155 from the poles 0 and 1; raises as :func:`_off_poles` on and
+    nearer the poles of J, the orbit of the degenerate values {0, 1, infinity}.
     """
-    return _off_poles(lam, lambda z: 4.0 * (z * z - z + 1.0) ** 3 / (27.0 * z * z * (z - 1.0) ** 2))
+    return _off_poles(lam, _j)
 
 
 def i2_closed_n4(lam) -> complex:
-    """Closed-form symmetrized quadratic invariant of four roots.
-
-    Evaluates (2(l^6+1) - 6(l^5+l) + 9(l^4+l^2) - 8 l^3) / (l^2 (l-1)^2),
-    which equals -3 + (27/2) J(l) identically; raises as :func:`_off_poles`.
+    """Closed-form symmetrized quadratic invariant of four roots,
+    -3 + (27/2) J(l), read from :func:`klein_j`'s formula; raises as
+    :func:`_off_poles`, also where J is a float but 27/2 J is not.
     """
-    return _off_poles(
-        lam,
-        lambda z: (2.0 * (z**6 + 1.0) - 6.0 * (z**5 + z) + 9.0 * (z**4 + z * z) - 8.0 * z**3)
-        / (z * z * (z - 1.0) ** 2),
-    )
+    return _off_poles(lam, lambda z: 13.5 * _j(z) - 3.0)
 
 
 def lambda_vector(roots: Sequence[RiemannPoint]) -> list[RiemannPoint]:

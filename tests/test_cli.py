@@ -392,6 +392,25 @@ class TestInvariants:
         assert all(math.isfinite(c) for v in slocc["symmetrized"].values() for c in v)
         assert "symmetrized_divergent" not in slocc
 
+    def test_far_cross_ratio_keeps_its_invariants(self, capsys, tmp_path):
+        # lambda = 1e60: beyond the reach of a degree-6 form of J or I2, well
+        # inside the float range of J itself
+        doc = {"n": 4, "basis": "majorana", "points": [[0, 0], [1, 0], "inf", [1e60, 0]]}
+        path = write_state(tmp_path, "far_lambda.json", doc)
+        code, out, err = run(capsys, "invariants", path, "--slocc", "--tol", "1e-300")
+        assert code == 0, err
+        slocc = json.loads(out, parse_constant=_no_constant)["slocc"]
+        assert slocc["degeneracy"] == [1, 1, 1, 1]
+        assert slocc["lambda_vector"] == [[1e60, -0.0]]
+        np.testing.assert_allclose(slocc["klein_j"], [1.48148148148148e119, 0.0], rtol=1e-14)
+        sums = slocc["symmetrized"]
+        assert sums == {"2": [8e120, 0.0], "4": [8e240, 0.0]}
+        np.testing.assert_allclose(complex(*sums["2"]), 4 * stellarinv.i2_closed_n4(1e60), rtol=1e-12)
+        # at the default --tol, 1e60 and infinity (2e-60 chordal apart) are one double root
+        code, out, err = run(capsys, "invariants", path, "--slocc")
+        assert (code, out) == (4, "")
+        assert "degenerate cross ratio" in err
+
     @pytest.mark.parametrize("extra", [[], [[-2, 1]]], ids=["n4", "n5"])
     def test_near_coincident_chain_exits_0(self, capsys, tmp_path, extra):
         # 0 ~ 4e-13 ~ 8e-13 is one triple root at --tol: at n = 4 that leaves

@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from helpers import (
     multiset_distance,
     point,
     random_points,
+    reference_i2_n4,
     reference_linkage,
     reference_power_sums,
     signed_zero_complex,
@@ -176,6 +179,50 @@ class TestKleinJ:
         with pytest.raises(DegenerateInputError, match="no float value"):
             klein_j(lam)
 
+    def test_exact_at_powers_of_ten_across_the_float_range(self):
+        # no factor of the formula leaves the floats before J does, so J of
+        # the floats nearest +-10^e keeps its exact value to a few ulps
+        for e in range(-154, 155):
+            for lam in (float(f"1e{e}"), -float(f"1e{e}")):
+                if lam == 1.0:  # a pole
+                    continue
+                x = Fraction(lam)
+                exact = 4 * (x * x - x + 1) ** 3 / (27 * x * x * (x - 1) ** 2)
+                got = klein_j(lam)
+                assert got.imag == 0.0
+                assert abs(Fraction(got.real) - exact) <= Fraction(2e-15) * exact, lam
+
+    @pytest.mark.parametrize("form", [klein_j, i2_closed_n4], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("lam", [1e160, -1e160, 1e-160, 0.0, 1.0, inf_point()], ids=str)
+    def test_poles_and_values_beyond_floats_raise_in_both_forms(self, form, lam):
+        with pytest.raises(DegenerateInputError, match="no float value"):
+            form(lam)
+
+    def test_i2_beyond_floats_where_j_is_not_raises(self):
+        # J(1e154) is about 1.48e307, and 27/2 J is beyond floats
+        assert cmath.isfinite(klein_j(1e154))
+        with pytest.raises(DegenerateInputError, match="no float value"):
+            i2_closed_n4(1e154)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False))
+    def test_a_value_is_finite_or_refused(self, lam):
+        for form in (klein_j, i2_closed_n4):
+            try:
+                value = form(lam)
+            except DegenerateInputError:
+                continue
+            assert cmath.isfinite(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(60, 150), st.floats(0, 2 * math.pi))
+    def test_constant_on_orbits_of_huge_cross_ratios(self, e, angle):
+        lam = cmath.rect(10.0**e, angle)
+        j0 = klein_j(lam)
+        # l / (l - 1) and (l - 1) / l are 1 + O(1/l): their floats are the pole 1
+        for member in anharmonic_orbit(lam)[:4]:
+            assert abs(klein_j(member) - j0) <= 1e-13 * abs(j0)
+
     def test_constant_on_orbits(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
@@ -226,7 +273,7 @@ class TestI2Closed:
             lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if min(abs(lam), abs(lam - 1)) < 0.1:
                 continue
-            assert abs(i2_closed_n4(lam) + 3.0 - 13.5 * klein_j(lam)) <= 1e-10
+            assert abs(reference_i2_n4(lam) + 3.0 - 13.5 * klein_j(lam)) <= 1e-10
 
 
 class TestLambdaVector:

@@ -108,6 +108,9 @@ FILES = {
     "close_pairs.json": _majorana([[0, 0], [2e-7, 0], [1, 0], [1.0000002, 0]]),
     # antipodes beyond floats, near their top and at -2.5e12
     "tiny_points.json": _majorana([[1e-320, 0], [1e-300, 0], [4e-13, 0]]),
+    # lambda = 1e60, whose J and I2 are floats; 1e60 and infinity are one
+    # double root at the default --tol and four simple roots at --tol 1e-300
+    "far_lambda.json": _majorana([[0, 0], [1, 0], "inf", [1e60, 0]]),
     # roots 1 and 3 are one exact double root
     "double_root_n4.json": _majorana(
         [
@@ -142,6 +145,9 @@ FILE_COMMANDS = [
     ["invariants", "--slocc"],
     # the 1e-12 tolerance of the stand-alone SLOCC functions
     ["invariants", "--slocc", "--tol", "1e-12"],
+    # at --tol >= 1e-12 a cross ratio past about 1e25 always has coincident
+    # roots: this one keeps them apart up to J's float range
+    ["invariants", "--slocc", "--tol", "1e-300"],
     ["invariants", "--lu"],
     ["invariants", "--tol", "1e-6"],
     ["invariants", "--oracle-check"],
