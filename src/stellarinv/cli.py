@@ -3,14 +3,17 @@
 State files are JSON documents with fields ``n``, ``basis`` ("dicke" or
 "majorana") and either ``amplitudes`` (a list of [re, im] pairs ordered by
 ascending m) or ``points`` (a list of [re, im] pairs or the token "inf").
-Reports are JSON maps printed to stdout with every numeric rendered to 15
-significant digits, so the fields parse back to the printed values.  Every
-per-root field lists the roots in the order they were computed in.
+Reports are JSON maps printed to stdout.  Commands assemble every document
+from library values, and :func:`_render` alone turns them into JSON, each
+float to 15 significant digits, so the fields parse back to the printed
+values.  Every per-root field lists the roots in the order they were
+computed in.
 
 Exit codes: 0 success (also when the reader of stdout closes it early), 2
 parse failure (also a point whose modulus is beyond floats) or unwritable
-output, 3 unsupported qubit count for a requested invariant or a Dicke
-file's operator or SLUI coefficients beyond floats, 4 degenerate input.
+output, 3 unsupported qubit count for a requested invariant, a Dicke file's
+operator or SLUI coefficients beyond floats, or the oracle state of points
+whose polynomial is beyond floats, 4 degenerate input.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import sys
 import numpy as np
 
 from . import families
-from .errors import DegenerateInputError, DivergentSumError
+from .errors import DegenerateInputError
 from .lu import bloch_radius2, concurrence2, gram, lu_invariants3, slui_coefficients
 from .oracle import dicke_expand, oracle_lu_invariants3, partial_trace, wootters_concurrence
 from .roots import DEFAULT_CLUSTER_TOL, cluster, degeneracy_class, find_roots
@@ -67,20 +70,6 @@ class _CliError(Exception):
 
 # ---------------------------------------------------------------------------
 # JSON helpers
-
-
-def _sig15(x: float) -> float:
-    rounded = float(f"{float(x):.15g}")
-    return rounded if math.isfinite(rounded) else float(x)  # the largest floats round up to inf
-
-
-def _num(z) -> list[float]:
-    z = complex(z)
-    return [_sig15(z.real), _sig15(z.imag)]
-
-
-def _point_json(p: RiemannPoint):
-    return "inf" if p.is_infinite else _num(p.value)
 
 
 def _parse_complex(entry, what: str) -> complex:
@@ -162,7 +151,7 @@ def state_document(state: SymmetricState) -> dict:
     return {
         "n": state.n,
         "basis": "dicke",
-        "amplitudes": [_num(a) for a in state.amplitudes],
+        "amplitudes": state.amplitudes,
     }
 
 
@@ -190,35 +179,54 @@ def _write(text: str, out_path: str | None) -> None:
         raise _CliError(EXIT_PARSE, f"cannot write {out_path or 'stdout'}: {exc}")
 
 
+def _render(value):
+    """The JSON form of a document value: a float to 15 significant digits
+    (one whose rounding would overflow as it is), a list, tuple or array to a
+    list, a complex number to [re, im], a point to "inf" or its value, a dict
+    to a dict in the same key order; anything else as it is.  numpy's float64
+    and complex128 are float and complex."""
+    if isinstance(value, float):  # first: a Gram holds up to 1029^2 of them
+        rounded = float(f"{value:.15g}")
+        return rounded if math.isfinite(rounded) else value
+    if isinstance(value, (list, tuple)):
+        return [_render(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _render(value.tolist())
+    if isinstance(value, complex):
+        return [_render(value.real), _render(value.imag)]
+    if isinstance(value, RiemannPoint):
+        return "inf" if value.is_infinite else _render(value.value)
+    if isinstance(value, dict):
+        return {k: _render(v) for k, v in value.items()}
+    return value
+
+
 def _emit(doc, out_path: str | None) -> None:
-    _write(json.dumps(doc, indent=2), out_path)
+    _write(json.dumps(_render(doc), indent=2), out_path)
 
 
 # ---------------------------------------------------------------------------
 # Report assembly
 
 
-def _lu_section(n, g):
-    section = {"slui_coefficients": [_sig15(c) for c in slui_coefficients(g)]}
+def _closed_forms(n, g) -> dict:
+    """The closed-form LU invariants of an n = 2 or 3 Gram, else none."""
     if n == 2:
         v12 = float(g[0, 1])
-        section["concurrence"] = _sig15(concurrence2(v12))
-        section["bloch_radius_sq"] = _sig15(bloch_radius2(v12))
-    elif n == 3:
-        section.update({k: _sig15(v) for k, v in lu_invariants3(g)._asdict().items()})
-    return section
+        return {"concurrence": concurrence2(v12), "bloch_radius_sq": bloch_radius2(v12)}
+    return lu_invariants3(g)._asdict() if n == 3 else {}
 
 
 def _slocc_section(summary):
-    section = {"degeneracy": list(summary.degeneracy)}
+    section = {"degeneracy": summary.degeneracy}
     if summary.lambda_vector is not None:
-        section["lambda_vector"] = [_point_json(p) for p in summary.lambda_vector]
+        section["lambda_vector"] = summary.lambda_vector
     if summary.klein_j is not None:
-        section["klein_j"] = _num(summary.klein_j)
+        section["klein_j"] = summary.klein_j
     if summary.canonical_lambda is not None:
-        section["canonical_lambda"] = _point_json(summary.canonical_lambda)
+        section["canonical_lambda"] = summary.canonical_lambda
     if summary.symmetrized:
-        section["symmetrized"] = {str(k): _num(v) for k, v in summary.symmetrized.items()}
+        section["symmetrized"] = summary.symmetrized  # json.dumps writes its keys as strings
         # a returned sum skips no ordering; the key keeps the output bytes
         section["skipped_permutations"] = 0
     if summary.divergent:
@@ -226,23 +234,17 @@ def _slocc_section(summary):
     return section
 
 
-def _oracle_section(state, g):
+def _oracle_section(state, closed):
+    """The dense oracle's values of the ``closed`` forms and their largest
+    deviation from them."""
     dense = dicke_expand(state)
     if state.n == 2:
-        v12 = float(g[0, 1])
         rho1 = partial_trace(dense, [1])
         radius_sq = float(2.0 * np.trace(rho1 @ rho1).real - 1.0)
-        woot = wootters_concurrence(dense)
-        dev = max(abs(woot - concurrence2(v12)), abs(radius_sq - bloch_radius2(v12)))
-        return {
-            "concurrence": _sig15(woot),
-            "bloch_radius_sq": _sig15(radius_sq),
-            "max_abs_deviation": _sig15(dev),
-        }
-    inv = oracle_lu_invariants3(dense)
-    dev = max(abs(a - b) for a, b in zip(inv, lu_invariants3(g)))
-    section = {k: _sig15(v) for k, v in inv._asdict().items()}
-    section["max_abs_deviation"] = _sig15(dev)
+        section = {"concurrence": wootters_concurrence(dense), "bloch_radius_sq": radius_sq}
+    else:
+        section = oracle_lu_invariants3(dense)._asdict()
+    section["max_abs_deviation"] = max(abs(section[k] - v) for k, v in closed.items())
     return section
 
 
@@ -253,12 +255,11 @@ def cmd_invariants(args) -> int:
     pts = _roots(state, points)
     vecs = [to_sphere(p) for p in pts]
     g = gram(vecs)
-    # every section before the n x n Gram is formatted: a section can still
-    # fail (exit 3 or 4), and at the qubit ceiling that Gram is 1M entries
     sections = {}
     both = not (args.lu or args.slocc)
+    closed = _closed_forms(n, g) if args.lu or both or args.oracle_check else {}
     if args.lu or both:
-        sections["lu"] = _lu_section(n, g)
+        sections["lu"] = {"slui_coefficients": slui_coefficients(g), **closed}
     if args.slocc or both:
         summary = slocc_summary(pts, args.tol)
         if args.slocc and n == 4 and summary.klein_j is None:
@@ -267,14 +268,8 @@ def cmd_invariants(args) -> int:
             )
         sections["slocc"] = _slocc_section(summary)
     if args.oracle_check:
-        sections["oracle"] = _oracle_section(state or state_from_roots(points), g)
-    report = {
-        "n": n,
-        "roots": [_point_json(p) for p in pts],
-        "points": [[_sig15(c) for c in v] for v in vecs],
-        "gram": [[_sig15(c) for c in row] for row in g],
-        **sections,
-    }
+        sections["oracle"] = _oracle_section(state or state_from_roots(points), closed)
+    report = {"n": n, "roots": pts, "points": vecs, "gram": g, **sections}
     _emit(report, args.output)
     return EXIT_OK
 
@@ -329,7 +324,7 @@ def cmd_transform(args) -> int:
     else:
         move, act = RiemannPoint.antipode, time_reversal
     if points is not None:
-        doc = {"n": n, "basis": "majorana", "points": [_point_json(move(p)) for p in points]}
+        doc = {"n": n, "basis": "majorana", "points": [move(p) for p in points]}
     _emit(state_document(act(state)) if points is None else doc, args.output)
     return EXIT_OK
 
@@ -362,11 +357,9 @@ def cmd_roots(args) -> int:
     clusters = cluster(pts, args.tol)
     report = {
         "n": n,
-        "roots": [_point_json(p) for p in pts],
-        "points": [[_sig15(c) for c in to_sphere(p)] for p in pts],
-        "clusters": [
-            {"root": _point_json(rep), "multiplicity": mult} for rep, mult in clusters
-        ],
+        "roots": pts,
+        "points": [to_sphere(p) for p in pts],
+        "clusters": [{"root": rep, "multiplicity": mult} for rep, mult in clusters],
         "degeneracy": [m for _, m in clusters],
     }
     _emit(report, args.output)
@@ -478,7 +471,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # the reader has gone: nothing is left to report
         return EXIT_OK
-    except (_CliError, OverflowError, DegenerateInputError, DivergentSumError) as exc:
+    except (_CliError, OverflowError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _CliError):
             return exc.code

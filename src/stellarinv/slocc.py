@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -166,14 +167,15 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> complex:
     same bits and the sum equals the one over every tuple exactly.  The
     real and imaginary parts of all terms are each summed in one
     ``math.fsum``, so the sum is exactly rounded and does not depend on the
-    order of the roots.  More than :data:`MAX_IK_N` roots raise
-    ``ValueError`` before any term is formed.  The roots are grouped at
-    :data:`COINCIDENCE_TOL`, as :func:`slocc_summary` groups them at its
-    ``tol``: fewer than three groups raise ``ValueError`` (no ordering has a
-    triple to normalize by), and a group of several, a repeated root, or a
-    sum beyond floats raises ``DivergentSumError``.
+    order of the roots.  A power that is not a positive integer, or more
+    than :data:`MAX_IK_N` roots, raise ``ValueError`` before any term is
+    formed.  The roots are grouped at :data:`COINCIDENCE_TOL`, as
+    :func:`slocc_summary` groups them at its ``tol``: fewer than three
+    groups raise ``ValueError`` (no ordering has a triple to normalize by),
+    and a group of several, a repeated root, or a sum beyond floats raises
+    ``DivergentSumError``.
     """
-    if k < 1:
+    if not isinstance(k, numbers.Integral) or k < 1:  # numpy integers included
         raise ValueError("power k must be a positive integer")
     pairs = projective_pairs(map(as_point, roots))
     if len(pairs) < 4:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import stellarinv
 from helpers import multiset_distance, random_points, roots_of
 from stellarinv.cli import main
+from stellarinv.states import RiemannPoint, SphereVector
 
 
 def _no_constant(name):
@@ -915,6 +916,34 @@ _FAR_PAIRS = json.dumps(
 )
 
 
+#: A value of every kind a document holds and its JSON form.
+_RENDERED = [
+    (RiemannPoint(0.1 + 0.2j), [0.1, 0.2]),
+    (RiemannPoint.infinity(), "inf"),
+    (1 / 3, 0.333333333333333),
+    (np.float64(2 / 3), 0.666666666666667),
+    (-0.0, -0.0),
+    (complex(1 / 3, -2), [0.333333333333333, -2.0]),
+    (np.complex128(complex(-0.0, 1 / 7)), [-0.0, 0.142857142857143]),
+    (np.array([1 / 3, 0.25]), [0.333333333333333, 0.25]),
+    (np.array([[1 + 1j / 3], [0j]]), [[[1.0, 0.333333333333333]], [[0.0, 0.0]]]),
+    (SphereVector(1 / 3, 0.0, -1.0), [0.333333333333333, 0.0, -1.0]),
+    (
+        {"b": {"z": 1 / 3, "a": (2, 0.5)}, "a": 1},
+        {"b": {"z": 0.333333333333333, "a": [2, 0.5]}, "a": 1},
+    ),
+    (7, 7),
+    (True, True),
+    ("inf", "inf"),
+]
+
+
+@pytest.mark.parametrize("value, want", _RENDERED)
+def test_render(value, want):
+    # the text tells apart what == does not: key order, -0.0, true and 1
+    assert json.dumps(stellarinv.cli._render(value)) == json.dumps(want)
+
+
 class TestFuzz:
     @settings(max_examples=80, deadline=None)
     @given(text=state_texts(), command=st.sampled_from(_COMMANDS))
@@ -937,8 +966,8 @@ class TestFuzz:
     def test_largest_floats_print_as_numbers(self):
         # 15 significant digits of the largest floats round past the float range
         big = np.finfo(float).max
-        assert stellarinv.cli._sig15(big) == big and stellarinv.cli._sig15(-big) == -big
-        assert stellarinv.cli._num(complex(1.5, big)) == [1.5, big]
+        assert stellarinv.cli._render(big) == big and stellarinv.cli._render(-big) == -big
+        assert stellarinv.cli._render(complex(1.5, big)) == [1.5, big]
 
     def test_antipodes_near_the_float_range_stay_finite(self, capsys, tmp_path):
         path = write_state(tmp_path, "tiny.json", json.loads(_TINY_POINTS))

@@ -438,10 +438,18 @@ class TestSymmetrizedIk:
         with pytest.raises(ValueError):
             symmetrized_ik([point(0), point(0), point(1), point(1)], 2)
 
-    @pytest.mark.parametrize("k", [0, -1])
+    # 2.5: a fractional power of each term is a principal branch, no power sum
+    @pytest.mark.parametrize("k", [0, -1, 2.5])
     def test_non_positive_power_rejected(self, k):
         with pytest.raises(ValueError, match="positive integer"):
             symmetrized_ik(ghz4_roots(), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_numpy_integer_power_gives_the_same_bits(self, k):
+        roots = [point(z) for z in (0, 1, 2, 3, 0.5j)]
+        want = symmetrized_ik(roots, k)
+        got = symmetrized_ik(roots, np.int64(k))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_three_roots_rejected(self):
         with pytest.raises(ValueError, match="four roots"):

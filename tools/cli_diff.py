@@ -85,6 +85,9 @@ FILES = {
     # expands to coefficients beyond the float range
     "overflowing_polynomial.json": _majorana([[1000, 0]] * 200),
     "far_circle60.json": _majorana(FAR_CIRCLE),
+    # three simple roots near 1e200: every value in the 1e200 range, and the
+    # oracle's state, whose polynomial is beyond floats, exits 3
+    "far_points3.json": _majorana([[1e200, 0], [2e200, 0], [3e200, 0]]),
     # a norm below the 1e-12 rescaling bound
     "tiny_amplitudes.json": {
         "n": 2,
