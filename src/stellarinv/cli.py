@@ -59,8 +59,6 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_DEGENERATE = 4
 
-_ILO_RETRIES = 200
-
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -227,8 +225,6 @@ def _slocc_section(summary):
         section["canonical_lambda"] = summary.canonical_lambda
     if summary.symmetrized:
         section["symmetrized"] = summary.symmetrized  # json.dumps writes its keys as strings
-        # a returned sum skips no ordering; the key keeps the output bytes
-        section["skipped_permutations"] = 0
     if summary.divergent:
         section["symmetrized_divergent"] = True
     return section
@@ -257,7 +253,7 @@ def cmd_invariants(args) -> int:
     g = gram(vecs)
     sections = {}
     both = not (args.lu or args.slocc)
-    closed = _closed_forms(n, g) if args.lu or both or args.oracle_check else {}
+    closed = _closed_forms(n, g)
     if args.lu or both:
         sections["lu"] = {"slui_coefficients": slui_coefficients(g), **closed}
     if args.slocc or both:
@@ -298,8 +294,8 @@ def cmd_transform(args) -> int:
         move = lambda p: from_sphere(SphereVector(*(rot @ to_sphere(p))))
         act = lambda s: apply_operator(lu_unitary(h, n), s)
     elif args.mode == "ilo-random":
-        # unit-disk parameter draws, rejected against the domain bounds and
-        # a moderate Moebius part
+        # beta1, beta2 and h uniform on the unit disk, redrawn until the
+        # Moebius part is moderate
         rng = np.random.default_rng(args.seed)
 
         def disk():
@@ -308,16 +304,9 @@ def cmd_transform(args) -> int:
                 if abs(z) <= 1.0:
                     return z
 
-        for _ in range(_ILO_RETRIES):
-            try:
-                params = IloParameters(disk(), disk(), disk())
-            except DegenerateInputError:
-                continue
-            g = params.gamma
-            if abs(g - 1.0 / g) < 10.0:
-                break
-        else:
-            raise _CliError(EXIT_DEGENERATE, "no in-domain ILO parameters found")
+        params = IloParameters(disk(), disk(), disk())
+        while not abs(params.gamma - 1.0 / params.gamma) < 10.0:  # NaN is redrawn too
+            params = IloParameters(disk(), disk(), disk())
         mob = mobius_from_ilo(params)
         move = lambda p: apply_mobius(mob, p)
         act = lambda s: apply_operator(ilo_operator(params, n), s)

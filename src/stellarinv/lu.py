@@ -36,7 +36,7 @@ def gram(points: Sequence[SphereVector]) -> np.ndarray:
     """Matrix of pairwise inner products v_ij = v_i . v_j, unit diagonal."""
     vecs = np.array(points, dtype=float).reshape(-1, 3)
     norms = np.linalg.norm(vecs, axis=1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+    if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):  # NaN fails too
         raise ValueError("gram requires unit vectors")
     g = vecs @ vecs.T
     np.fill_diagonal(g, 1.0)
@@ -80,6 +80,8 @@ def symmetric_coefficients(v: np.ndarray) -> tuple[float, float, float]:
     if v.shape != (3, 3):
         raise ValueError("expected a 3x3 inner-product matrix")
     v12, v13, v23 = v[0, 1], v[0, 2], v[1, 2]
+    if not np.isfinite([v12, v13, v23]).all():
+        raise ValueError("inner products must be finite")
     c0 = -v12 * v13 * v23
     c1 = v12 * v13 + v12 * v23 + v13 * v23
     c2 = -(v12 + v13 + v23)

@@ -11,6 +11,7 @@ Everything here is immutable after construction and every function is pure.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isfinite
@@ -211,8 +212,9 @@ class MajoranaPolynomial:
 
 
 def from_dicke(n: int, amplitudes) -> SymmetricState:
-    """Build a normalized symmetric state from n+1 Dicke amplitudes."""
-    return SymmetricState(int(n), np.asarray(amplitudes, dtype=complex))
+    """Build a normalized symmetric state from n+1 Dicke amplitudes; an ``n``
+    that is no integer, such as 2.7 or "2", raises ``TypeError``."""
+    return SymmetricState(operator.index(n), np.asarray(amplitudes, dtype=complex))
 
 
 @lru_cache(maxsize=64)

@@ -143,6 +143,8 @@ def _exp_traceless(g: np.ndarray) -> np.ndarray:
 def _qubit_unitary(h: Sequence[float]) -> np.ndarray:
     """One-qubit unitary exp(i (hx sx + hy sy + hz sz)) in the Dicke basis."""
     hx, hy, hz = (float(c) for c in h)
+    if not all(map(math.isfinite, (hx, hy, hz))):
+        raise ValueError(f"rotation generator must be finite, got {h}")
     return _exp_traceless(1j * (hx * _SX + hy * _SY + hz * _SZ))
 
 
@@ -186,6 +188,8 @@ class IloParameters:
         for name in ("beta1", "beta2", "h"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         b1, b2 = self.beta1, self.beta2
+        if not all(map(cmath.isfinite, (b1, b2, self.h))):
+            raise ValueError("ILO parameters must be finite")
         scale = max(1.0, abs(b1), abs(b2))
         if abs(b1 - b2) <= _DOMAIN_TOL * scale:
             raise DegenerateInputError("parameterization requires beta1 != beta2")
@@ -207,6 +211,8 @@ class MobiusTransform:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("Moebius matrix must be 2x2")
+        if not np.isfinite(m).all():
+            raise ValueError("Moebius matrix entries must be finite")
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if abs(det) <= 1e-12 * max(1e-300, np.abs(m).max() ** 2):
             raise ValueError("Moebius matrix must be invertible")

@@ -15,9 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stellarinv
-from helpers import multiset_distance, random_points, roots_of
-from stellarinv.cli import main
+from helpers import multiset_distance, random_disk, random_points, roots_of
+from stellarinv.cli import _render, main
 from stellarinv.states import RiemannPoint, SphereVector
+from stellarinv.transforms import (
+    IloParameters,
+    apply_mobius,
+    apply_operator,
+    ilo_operator,
+    mobius_from_ilo,
+)
 
 
 def _no_constant(name):
@@ -627,6 +634,29 @@ class TestTransform:
         assert code == 0
         code, text, _ = run(capsys, "classify", out)
         assert text.strip() == "{1,1,1} GHZ-class"
+
+    def test_ilo_random_redraws_a_large_moebius_part(self, capsys, tmp_path):
+        # seed 13's first (beta1, beta2, h) is rejected and its second is applied
+        rng = np.random.default_rng(13)
+        first, second = (
+            IloParameters(random_disk(rng), random_disk(rng), random_disk(rng)) for _ in range(2)
+        )
+        assert abs(first.gamma - 1.0 / first.gamma) >= 10.0
+        assert abs(second.gamma - 1.0 / second.gamma) < 10.0
+        dicke = {"n": 3, "basis": "dicke", "amplitudes": [[0.3, 0], [0, -0.5], [0.2, 0.1], [0.7, 0]]}
+        majorana = {"n": 3, "basis": "majorana", "points": [[0.4, -0.9], [-1.3, 0.7], "inf"]}
+        state = stellarinv.from_dicke(3, [complex(*a) for a in dicke["amplitudes"]])
+        moved = apply_operator(ilo_operator(second, 3), state)
+        mob = mobius_from_ilo(second)
+        points = [apply_mobius(mob, _json_point(e)) for e in majorana["points"]]
+        for doc, want in [
+            (dicke, {**dicke, "amplitudes": moved.amplitudes}),
+            (majorana, {**majorana, "points": points}),
+        ]:
+            path = write_state(tmp_path, "s.json", doc)
+            code, out, _ = run(capsys, "transform", path, "--ilo-random", "--seed", "13")
+            assert code == 0
+            assert out == json.dumps(_render(want), indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "points",

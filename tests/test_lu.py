@@ -93,6 +93,11 @@ class TestGram:
         with pytest.raises(ValueError):
             gram([SphereVector(0.5, 0.0, 0.0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="unit vectors"):
+            gram([SphereVector(bad, 0.0, 0.0)])
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -193,6 +198,11 @@ class TestThreeQubitInvariants:
         np.fill_diagonal(bad, 1.0)
         with pytest.raises(DegenerateInputError):
             lu_invariants3(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            lu_invariants3(np.full((3, 3), bad))
 
     def test_ranges_over_random_states(self):
         rng = np.random.default_rng(34)

@@ -52,6 +52,16 @@ class TestFromDicke:
         with pytest.raises(ValueError, match="positive"):
             from_dicke(0, [1])
 
+    @pytest.mark.parametrize("n", [2.7, 2.0, "2"])
+    def test_non_integer_qubit_count_rejected(self, n):
+        # truncating 2.7 to 2 would fit the three amplitudes
+        with pytest.raises(TypeError):
+            from_dicke(n, [1, 0, 1])
+
+    def test_numpy_integer_qubit_count(self):
+        st2 = from_dicke(np.int64(2), [1, 0, 1])
+        assert type(st2.n) is int and st2.n == 2
+
     def test_overflowing_norm_is_rescaled(self):
         st = from_dicke(2, [1e308, 1e308j, 0])
         np.testing.assert_array_equal(st.amplitudes, from_dicke(2, [1, 1j, 0]).amplitudes)

@@ -242,6 +242,13 @@ class TestRotationFromH:
         np.testing.assert_allclose(np.linalg.matrix_power(r, 4), np.eye(3), atol=1e-12)
         assert np.abs(r - np.eye(3)).max() > 0.5
 
+    @pytest.mark.parametrize("h", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
+    def test_non_finite_generator_rejected(self, h):
+        with pytest.raises(ValueError, match="finite"):
+            rotation_from_h(h)
+        with pytest.raises(ValueError, match="finite"):
+            lu_unitary(h, 3)
+
     def test_proper_rotation(self):
         rng = np.random.default_rng(52)
         for _ in range(20):
@@ -285,6 +292,13 @@ class TestIloOperator:
             IloParameters(0.5, 0.5, 1.0)
         with pytest.raises(DegenerateInputError):
             IloParameters(0.5, -0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "params", [(np.nan, 1, 1), (0.3, 0.5, np.inf), (complex(0.3, np.nan), 0.5, 1)]
+    )
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            IloParameters(*params)
 
     def test_unitary_subclass(self):
         rng = np.random.default_rng(55)
@@ -341,6 +355,12 @@ class TestApplyMobius:
     def test_non_2x2_matrix_rejected(self):
         with pytest.raises(ValueError, match="2x2"):
             MobiusTransform(np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+    def test_non_finite_matrix_rejected(self, bad):
+        # an infinite entry is refused before it reaches the determinant
+        with pytest.raises(ValueError, match="finite"):
+            MobiusTransform([[bad, 0], [0, 1]])
 
     def test_inverse_undoes_the_map(self):
         rng = np.random.default_rng(70)

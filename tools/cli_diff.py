@@ -162,6 +162,8 @@ FILE_COMMANDS = [
     ["transform", "--lu-random", "--seed", "3"],
     ["transform", "--ilo-random", "--seed", "0"],
     ["transform", "--ilo-random", "--seed", "3"],
+    # the first seed whose first ILO draw is rejected: pins the redraw
+    ["transform", "--ilo-random", "--seed", "13"],
     ["transform", "--time-reversal"],
 ]
 
