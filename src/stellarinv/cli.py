@@ -9,6 +9,10 @@ float to 15 significant digits, so the fields parse back to the printed
 values.  Every per-root field lists the roots in the order they were
 computed in.
 
+Only ``errors``, ``states`` and ``roots`` load with this module; every
+other layer loads inside the command that runs it, so that a cold call
+imports only what it uses.
+
 Exit codes: 0 success (also when the reader of stdout closes it early), 2
 parse failure (also a point whose modulus is beyond floats) or unwritable
 output, 3 unsupported qubit count for a requested invariant, a Dicke file's
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
 import os
@@ -26,12 +31,8 @@ import sys
 
 import numpy as np
 
-from . import families
 from .errors import DegenerateInputError
-from .lu import bloch_radius2, concurrence2, gram, lu_invariants3, slui_coefficients
-from .oracle import dicke_expand, oracle_lu_invariants3, partial_trace, wootters_concurrence
 from .roots import DEFAULT_CLUSTER_TOL, cluster, degeneracy_class, find_roots
-from .slocc import slocc_summary
 from .states import (
     MAX_QUBITS,
     RiemannPoint,
@@ -42,16 +43,6 @@ from .states import (
     majorana_polynomial,
     state_from_roots,
     to_sphere,
-)
-from .transforms import (
-    IloParameters,
-    apply_mobius,
-    apply_operator,
-    ilo_operator,
-    lu_unitary,
-    mobius_from_ilo,
-    rotation_from_h,
-    time_reversal,
 )
 
 EXIT_OK = 0
@@ -209,6 +200,8 @@ def _emit(doc, out_path: str | None) -> None:
 
 def _closed_forms(n, g) -> dict:
     """The closed-form LU invariants of an n = 2 or 3 Gram, else none."""
+    from .lu import bloch_radius2, concurrence2, lu_invariants3
+
     if n == 2:
         v12 = float(g[0, 1])
         return {"concurrence": concurrence2(v12), "bloch_radius_sq": bloch_radius2(v12)}
@@ -233,6 +226,8 @@ def _slocc_section(summary):
 def _oracle_section(state, closed):
     """The dense oracle's values of the ``closed`` forms and their largest
     deviation from them."""
+    from .oracle import dicke_expand, oracle_lu_invariants3, partial_trace, wootters_concurrence
+
     dense = dicke_expand(state)
     if state.n == 2:
         rho1 = partial_trace(dense, [1])
@@ -245,6 +240,9 @@ def _oracle_section(state, closed):
 
 
 def cmd_invariants(args) -> int:
+    from .lu import gram, slui_coefficients
+    from .slocc import slocc_summary
+
     n, state, points = load_document(args.file)
     if args.oracle_check and n not in (2, 3):  # before any stage: exit 3 beats exit 4
         raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {n}")
@@ -282,6 +280,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .transforms import (
+        IloParameters,
+        apply_mobius,
+        apply_operator,
+        ilo_operator,
+        lu_unitary,
+        mobius_from_ilo,
+        rotation_from_h,
+        time_reversal,
+    )
+
     n, state, points = load_document(args.file)
     # a majorana file's points each take the rotation, Moebius map or antipode
     if args.mode == "lu-random":
@@ -319,6 +328,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import families
+
     if args.family != "ghz4-family":
         _check_qubits(args.n)
     try:
@@ -468,7 +479,11 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    # what the imports built lives until the process ends: keep it out of
+    # the collection at exit, which would otherwise scan every object
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

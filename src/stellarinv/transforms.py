@@ -131,10 +131,24 @@ def symmetric_power(m, n: int) -> np.ndarray:
     return out
 
 
+def _unit_scaled(entries: list[complex]) -> tuple[list[complex], int]:
+    """``entries`` divided by 2^e, and e, for the e that brings their largest
+    real or imaginary part into [0.5, 1).  Only a part that ends below the
+    smallest normal float is rounded."""
+    e = math.frexp(max(abs(x) for z in entries for x in (z.real, z.imag)))[1]
+    return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries], e
+
+
 def _exp_traceless(g: np.ndarray) -> np.ndarray:
-    """exp(g) of a traceless 2x2 g: cosh(mu) I + sinh(mu)/mu g, mu^2 = -det g."""
+    """exp(g) of a traceless 2x2 g: cosh(mu) I + sinh(mu)/mu g, mu^2 = -det g.
+
+    mu is taken from the entries scaled by an exact power of two to below
+    1, so that no square leaves the float range.
+    """
     (a, b), (c, d) = g.tolist()
-    mu = cmath.sqrt(b * c - a * d)
+    (sa, sb, sc, sd), e = _unit_scaled([a, b, c, d])
+    root = cmath.sqrt(sb * sc - sa * sd)
+    mu = complex(math.ldexp(root.real, e), math.ldexp(root.imag, e))
     ch = cmath.cosh(mu)
     shc = cmath.sinh(mu) / mu if mu else 1.0
     return np.array([[ch + shc * a, shc * b], [shc * c, ch + shc * d]])
@@ -208,15 +222,15 @@ class MobiusTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("Moebius matrix must be 2x2")
         if not np.isfinite(m).all():
             raise ValueError("Moebius matrix entries must be finite")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) <= 1e-12 * max(1e-300, np.abs(m).max() ** 2):
+        # tested at unit scale, so that the determinant stays within the floats
+        (a, b, c, d), _ = _unit_scaled(m.ravel().tolist())
+        if abs(a * d - b * c) <= 1e-12 * max(map(abs, (a, b, c, d))) ** 2:
             raise ValueError("Moebius matrix must be invertible")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -1022,6 +1022,114 @@ class TestFuzz:
         assert "klein_j" not in slocc and slocc["symmetrized_divergent"]
 
 
+#: ``stellarinv.__all__`` as it was when every module loaded with the package.
+_PUBLIC_NAMES = [
+    "DegenerateInputError", "DivergentSumError", "IloParameters", "LuInvariantSet",
+    "MajoranaPolynomial", "MobiusTransform", "RiemannPoint", "SloccInvariantSet",
+    "SphereVector", "SymmetricState", "anharmonic_orbit", "apply_mobius", "apply_operator",
+    "bloch_radius2", "canonical_representative", "chordal_distance", "cluster", "concurrence2",
+    "cross_ratio", "degeneracy_class", "dicke_expand", "dicke_state", "find_roots",
+    "from_dicke", "from_sphere", "ghz4_family", "ghz_state", "gram", "i2_closed_n4",
+    "ilo_operator", "klein_j", "lambda_vector", "lu_invariants3", "lu_unitary",
+    "majorana_polynomial", "mobius_from_ilo", "oracle_lu_invariants3", "partial_trace",
+    "rotation_from_h", "slocc_summary", "slui_coefficients", "state_from_polynomial",
+    "state_from_roots", "symmetric_coefficients", "symmetrized_ik", "three_tangle",
+    "time_reversal", "time_reversal_dense", "to_sphere", "w_state", "wootters_concurrence",
+    "y_theta",
+]
+
+
+#: The layers a command loads only when it runs them.
+_OPTIONAL_LAYERS = {"lu", "slocc", "oracle", "transforms", "families"}
+
+
+def loaded_modules(code, *args):
+    """The modules a fresh interpreter has loaded after ``code``, which reads
+    ``args`` as ``sys.argv[1:]``."""
+    code = f"import sys; {code}; print(' '.join(sys.modules), file=sys.stderr)"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stellarinv.__file__))),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return set(out.stderr.split())
+
+
+class TestColdStart:
+    """A cold call loads only the layers its command runs, and a fresh
+    ``python -m stellarinv.cli`` process prints what ``main`` does in process."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "{state}"],
+            ["invariants", "{state}", "--oracle-check"],
+            ["classify", "{state}"],
+            ["roots", "{state}"],
+            ["transform", "{state}", "--lu-random", "--seed", "5"],
+            ["transform", "{state}", "--ilo-random", "--seed", "5"],
+            ["transform", "{state}", "--time-reversal"],
+            ["generate", "dicke", "-n", "5", "--weight", "2"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a != "{state}"),
+    )
+    def test_fresh_process_prints_what_main_prints(self, capsys, tmp_path, argv):
+        amplitudes = [[0.42, -0.17], [-0.31, 0.58], [0.23, 0.51], [0.1, -0.2]]
+        state = write_state(tmp_path, "s.json", {"n": 3, "basis": "dicke", "amplitudes": amplitudes})
+        argv = [a.format(state=state) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        proc = run_cli_process(argv, subprocess.PIPE, unbuffered=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+    def test_import_loads_no_module_and_no_numpy(self):
+        loaded = loaded_modules("import stellarinv")
+        assert "stellarinv" in loaded and "numpy" not in loaded
+        assert not [m for m in loaded if m.startswith("stellarinv.")]
+
+    def test_public_names_resolve_on_first_read(self):
+        assert stellarinv.__all__ == sorted(_PUBLIC_NAMES)
+        for name in stellarinv.__all__:
+            value = getattr(stellarinv, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert set(stellarinv.__all__) <= set(dir(stellarinv))
+        names = {}
+        exec("from stellarinv import *", names)
+        assert names.keys() - {"__builtins__"} == set(_PUBLIC_NAMES)
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            stellarinv.nonexistent
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["classify", "{state}"], _OPTIONAL_LAYERS),
+            (["roots", "{state}", "-o", "{out}"], _OPTIONAL_LAYERS),
+            (["generate", "ghz", "-o", "{out}"], _OPTIONAL_LAYERS - {"families"}),
+        ],
+        ids=["classify", "roots", "generate"],
+    )
+    def test_command_loads_only_its_layers(self, tmp_path, argv, absent):
+        argv = [a.format(state=ghz3_file(tmp_path), out=tmp_path / "out.json") for a in argv]
+        loaded = loaded_modules("from stellarinv.cli import main; main(sys.argv[1:])", *argv)
+        assert not loaded & {f"stellarinv.{m}" for m in absent}
+
+
+def test_coldstart_reports_every_command():
+    src = os.path.dirname(os.path.dirname(stellarinv.__file__))
+    tool = Path(__file__).resolve().parents[1] / "tools" / "coldstart.py"
+    out = subprocess.run(
+        [sys.executable, str(tool), src, src, "1"], capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    commands = [line.split()[0] for line in lines if not line.startswith((" ", "1 rounds"))]
+    assert commands == ["invariants", "classify", "roots", "transform", "generate"]
+    assert "  NEW 4: stellarinv stellarinv.errors stellarinv.states stellarinv.roots" in lines
+
+
 def test_cli_diff_finds_no_difference_within_one_tree():
     src = os.path.dirname(os.path.dirname(stellarinv.__file__))
     tool = Path(__file__).resolve().parents[1] / "tools" / "cli_diff.py"

@@ -249,6 +249,13 @@ class TestRotationFromH:
         with pytest.raises(ValueError, match="finite"):
             lu_unitary(h, 3)
 
+    @pytest.mark.parametrize("h", [(1e160, 0, 0), (0, -1e300, 0), (1e200, 3e199, -2e200)])
+    def test_generator_whose_square_overflows(self, h):
+        r = rotation_from_h(h)
+        np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
+        u = lu_unitary(h, 3)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+
     def test_proper_rotation(self):
         rng = np.random.default_rng(52)
         for _ in range(20):
@@ -351,6 +358,15 @@ class TestApplyMobius:
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
             MobiusTransform(np.array([[1, 1], [1, 1]], dtype=complex))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e160, 1e300])
+    def test_invertibility_is_judged_at_any_scale(self, scale):
+        # the determinant of the identity at 1e160 overflows, at 1e-200 it underflows
+        m = np.array([[1, 0.5j], [0.25, 2]]) * scale
+        assert MobiusTransform(m).matrix.tobytes() == m.astype(complex).tobytes()
+        assert MobiusTransform(np.eye(2) * scale).matrix[0, 0] == scale
+        with pytest.raises(ValueError, match="invertible"):
+            MobiusTransform(np.array([[1, 2j], [2, 4j]]) * scale)
 
     def test_non_2x2_matrix_rejected(self):
         with pytest.raises(ValueError, match="2x2"):
