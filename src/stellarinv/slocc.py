@@ -33,11 +33,9 @@ from .states import RiemannPoint, projective_differences, projective_pairs
 COINCIDENCE_TOL = 1e-12
 
 #: Most roots :func:`symmetrized_ik` takes.  All its terms are summed in one
-#: pass: at n = 17, 24 C(n, 4) = 57,120 ordered 4-tuples, and an orbit table
-#: of :func:`_orbit_factors` under 0.5 MiB.
+#: pass: at n = 17, 24 C(n, 4) = 57,120 ordered 4-tuples, and a factor table
+#: of :func:`_plucker_factors` of 112 KiB.
 MAX_IK_N = 17
-#: Slots of a sorted 4-subset's members in its six orbit representatives.
-_ORBIT_SLOTS = [(0, *rest) for rest in itertools.permutations((1, 2, 3))]
 
 
 def as_point(value) -> RiemannPoint:
@@ -154,26 +152,26 @@ def symmetrized_ik(roots: Sequence[RiemannPoint], k: int) -> complex:
     For each ordering the first three roots define the normalizing Moebius
     map and the fourth is evaluated through it.  Since the term depends only
     on the leading four slots, the sum runs over ordered 4-tuples weighted
-    by (n-4)!, which is exactly the full permutation sum.  A cross ratio is
-    unchanged by the Klein four-group of double transpositions of its
-    slots, so every term occurs four times among those tuples: the sum
-    evaluates one tuple per orbit, the one whose first slot holds the least
-    index, and weights it by 4 (n-4)!.
+    by (n-4)!, which is exactly the full permutation sum.  With
+    d_xy = a_x b_y - b_x a_y, a 4-subset a < b < c < d has three Pluecker
+    products x = d_ab d_cd, y = d_ac d_db and z = d_ad d_bc (x + y + z = 0),
+    and the term of each of its 24 ordered tuples is -u/v for two distinct
+    products u, v, each such ratio being the term of four tuples: the sum
+    evaluates the six ratios of each subset and weights them by 4 (n-4)!.
 
-    Every term is read off one matrix of projective differences
-    det[x, y] = a_x b_y - b_x a_y.  Its complex products, and those of each
-    term's numerator and denominator, are formed from real products each
-    rounded once, never fused, so the four members of an orbit give the
-    same bits and the sum equals the one over every tuple exactly.  The
-    real and imaginary parts of all terms are each summed in one
-    ``math.fsum``, so the sum is exactly rounded and does not depend on the
-    order of the roots.  A power that is not a positive integer, or more
-    than :data:`MAX_IK_N` roots, raise ``ValueError`` before any term is
-    formed.  The roots are grouped at :data:`COINCIDENCE_TOL`, as
-    :func:`slocc_summary` groups them at its ``tol``: fewer than three
-    groups raise ``ValueError`` (no ordering has a triple to normalize by),
-    and a group of several, a repeated root, or a sum beyond floats raises
-    ``DivergentSumError``.
+    Every term is read off one matrix of projective differences d_xy.  Its
+    complex products, and the Pluecker products, are formed from real
+    products each rounded once, never fused, so each -u/v has the bits of
+    its four tuples' terms, save the sign of a zero part, and the sum equals
+    the one over every tuple exactly.  The real and imaginary parts of all
+    terms are each summed in one ``math.fsum``, so the sum is exactly
+    rounded and does not depend on the order of the roots.  A power that is
+    not a positive integer, or more than :data:`MAX_IK_N` roots, raise
+    ``ValueError`` before any term is formed.  The roots are grouped at
+    :data:`COINCIDENCE_TOL`, as :func:`slocc_summary` groups them at its
+    ``tol``: fewer than three groups raise ``ValueError`` (no ordering has a
+    triple to normalize by), and a group of several, a repeated root, or a
+    sum beyond floats raises ``DivergentSumError``.
     """
     if not isinstance(k, numbers.Integral) or k < 1:  # numpy integers included
         raise ValueError("power k must be a positive integer")
@@ -214,47 +212,42 @@ def _differences(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _orbit_factors(n: int) -> tuple[np.ndarray, ...]:
-    """Flat positions in an n x n array of det[i4, i1], det[i2, i3],
-    det[i4, i3] and det[i2, i1] over one tuple (i1, i2, i3, i4) per Klein-four
-    orbit of range(n).
+def _plucker_factors(n: int) -> np.ndarray:
+    """Flat positions in an n x n array of the factors of the three Pluecker
+    products det[a, b] det[c, d], det[a, c] det[d, b] and det[a, d] det[b, c]
+    of each 4-subset a < b < c < d of range(n), shape (2, 3, C(n, 4)): the
+    first factors, then the second.
 
-    The orbit of a tuple of distinct indices has one member whose first slot
-    holds the least index; each 4-subset gives six, its least member first
-    and the other three in every order.  The arrays are read-only, since the
-    cache hands them to every caller; at n <= :data:`MAX_IK_N` eight sets of
-    them take at most 4 MiB.
+    Read-only, since the cache hands it to every caller; at n <=
+    :data:`MAX_IK_N` eight of them take under 1 MiB.
     """
-    subsets = np.array(list(itertools.combinations(range(n), 4)))
-    i1, i2, i3, i4 = subsets[:, _ORBIT_SLOTS].reshape(-1, 4).T
-    positions = (i4 * n + i1, i2 * n + i3, i4 * n + i3, i2 * n + i1)
-    for p in positions:
-        p.flags.writeable = False
-    return positions
+    a, b, c, d = np.array(list(itertools.combinations(range(n), 4))).T
+    table = np.array([[a * n + b, a * n + c, a * n + d], [c * n + d, d * n + b, b * n + c]])
+    table.flags.writeable = False
+    return table
 
 
 def _power_sums(pairs: np.ndarray, powers: Sequence[int]) -> dict[int, complex]:
     """symmetrized_ik of 4 <= n <= :data:`MAX_IK_N` simple roots by power,
-    from one pass over the Klein-four orbit representatives of
-    :func:`_orbit_factors`.
+    from one pass over the six ratios -u/v of distinct Pluecker products u, v
+    of each 4-subset.
 
-    Over :func:`_differences`, with num and den from :func:`_times`, the four
-    members of an orbit have the same num and den bits, so they agree on
-    their terms: the representatives' sum weighted by 4 (n-4)! is the sum
-    over every tuple weighted by (n-4)!, exactly, with one ``math.fsum`` per
-    real or imaginary part.  A sum beyond floats raises ``DivergentSumError``.
+    Over :func:`_differences`, with products from :func:`_times`, the term
+    num/den of each of a subset's 24 ordered tuples has the bits of one of
+    its six -u/v, save the sign of a zero part, and each -u/v is the term of
+    four tuples: their sum weighted by 4 (n-4)! is the sum over every tuple
+    weighted by (n-4)!, exactly, with one ``math.fsum`` per real or
+    imaginary part.  A sum beyond floats raises ``DivergentSumError``.
     """
     n = len(pairs)
     det_re, det_im = (part.ravel() for part in _differences(pairs))
-    p41, p23, p43, p21 = _orbit_factors(n)
-    num = np.empty(len(p41), complex)
-    den = np.empty_like(num)
-    num.real, num.imag = _times(det_re[p41], det_im[p41], det_re[p23], det_im[p23])
-    den.real, den.imag = _times(det_re[p43], det_im[p43], det_re[p21], det_im[p21])
+    first, second = _plucker_factors(n)
+    xyz = np.empty(first.shape, complex)
+    xyz.real, xyz.imag = _times(det_re[first], det_im[first], det_re[second], det_im[second])
     weight = 4 * math.factorial(n - 4)
     sums = {}
     with np.errstate(all="ignore"):
-        ratio = num / den
+        ratio = (-xyz[[0, 0, 1, 1, 2, 2]] / xyz[[1, 2, 0, 2, 0, 1]]).ravel()
         for k in powers:
             terms = ratio**k
             try:  # fsum raises on a partial sum beyond floats, or on inf - inf

@@ -121,12 +121,13 @@ def reference_power_sums(points, powers):
     """Permutation power sums I_k by power, from one ``math.fsum`` over every
     ordered 4-tuple of the points, weighted by (n-4)!.
 
-    The reference for ``slocc.symmetrized_ik``, which sums one tuple per
-    Klein-four orbit.  Every projective difference a_x b_y - b_x a_y and
-    every term's numerator and denominator is formed on its own from real
-    products rounded once, as the program forms them, and the ratios and
-    the powers run in numpy, as there.  A sum that is not a finite float,
-    the program's one divergence rule, raises ``DivergentSumError``.
+    The reference for ``slocc.symmetrized_ik``, which sums the six ratios
+    -u/v of the three Pluecker products u, v of each 4-subset.  Every
+    projective difference a_x b_y - b_x a_y and every tuple's numerator and
+    denominator is formed on its own from real products rounded once, as
+    the program forms its products, and the ratios and the powers run in
+    numpy, as there.  A sum that is not a finite float, the program's one
+    divergence rule, raises ``DivergentSumError``.
     """
 
     def times(x, y):

@@ -391,9 +391,9 @@ class TestSymmetrizedIk:
     @pytest.mark.parametrize("n", [MAX_IK_N + 1, 1029])
     def test_beyond_the_largest_n_rejected_before_the_orbit_table(self, n, monkeypatch):
         calls = []
-        orbit_factors = slocc._orbit_factors
+        plucker_factors = slocc._plucker_factors
         monkeypatch.setattr(
-            slocc, "_orbit_factors", lambda m: calls.append(m) or orbit_factors(m)
+            slocc, "_plucker_factors", lambda m: calls.append(m) or plucker_factors(m)
         )
         pts = [point(np.exp(2j * np.pi * j / n)) for j in range(n)]
         with pytest.raises(ValueError, match=f"at most {MAX_IK_N} roots, got {n}"):
@@ -530,6 +530,49 @@ class TestOneTermPerKleinFourOrbit:
             assert symmetrized_ik(pts, k) == value
         summary = {k: want[k] for k in SUMMARY_POWERS} if len(pts) <= MAX_POWER_SUM_N else {}
         assert slocc_summary(pts).symmetrized == summary
+
+
+def as_complex(re, im):
+    """The complex array with these parts, set apart as the program sets them."""
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+class TestPluckerProducts:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 1e-9, 1, 2 + 1j, -1.5 + 0.5j, None],
+            [None, 0.3 - 2j, 0.3 - 2j + 1e-9, 1j, -1, 4 + 3j, 1e3, -2e-3j],
+            [1e-9j, 0, -0.7 + 0.2j, 1.1 - 0.9j, None, 5],
+        ],
+    )
+    def test_every_tuple_is_minus_one_product_over_another(self, values):
+        # x = d_ab d_cd, y = d_ac d_db and z = d_ad d_bc of each subset
+        # a < b < c < d: the term num / den of each of its 24 ordered tuples
+        # has the bits of one of the six -u/v, save the sign of a zero part
+        # (which == ignores), and each -u/v is hit four times
+        pts = [inf_point() if v is None else point(v) for v in values]
+        det_re, det_im = slocc._differences(projective_pairs(pts))
+        subset = np.array(list(itertools.combinations(range(len(pts)), 4))).T
+
+        def product(i, j, k, m):
+            return as_complex(*slocc._times(det_re[i, j], det_im[i, j], det_re[k, m], det_im[k, m]))
+
+        a, b, c, d = subset
+        xyz = np.array([product(a, b, c, d), product(a, c, d, b), product(a, d, b, c)])
+        with np.errstate(all="raise"):
+            six = -xyz[[0, 0, 1, 1, 2, 2]] / xyz[[1, 2, 0, 2, 0, 1]]
+            terms = np.array(
+                [
+                    product(i4, i1, i2, i3) / product(i4, i3, i2, i1)
+                    for i1, i2, i3, i4 in itertools.permutations(subset)
+                ]
+            )
+        hits = terms[:, None] == six[None]
+        assert (hits.sum(axis=1) == 1).all()
+        assert (hits.sum(axis=0) == 4).all()
 
 
 def summary_cases():

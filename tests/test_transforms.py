@@ -212,6 +212,21 @@ class TestSymmetricPower:
         with pytest.raises(OverflowError, match="n = 110"):
             symmetric_power(np.diag([1e3, 1e-3]), 110)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_qubits_rejected_before_the_tables(self, n, monkeypatch):
+        calls = []
+        power_tables = transforms._power_tables
+        monkeypatch.setattr(
+            transforms, "_power_tables", lambda m: calls.append(m) or power_tables(m)
+        )
+        with pytest.raises(ValueError, match=f"qubit count must be positive, got {n}"):
+            lu_unitary((0.3, -0.2, 0.5), n)
+        with pytest.raises(ValueError, match=f"qubit count must be positive, got {n}"):
+            ilo_operator(IloParameters(0.3 + 0.1j, -0.5 + 0.4j, 0.0), n)
+        assert calls == []
+        lu_unitary((0.3, -0.2, 0.5), 1)  # the spy sees a call with a qubit
+        assert calls == [1]
+
     def test_import_leaves_scipy_out(self):
         # cold start: importing scipy used to be most of every CLI call
         src = os.path.dirname(os.path.dirname(stellarinv.__file__))

@@ -71,6 +71,13 @@ FILES = {
         [[0.3, -0.7], [1.2, 0.4], [-0.8, 0.9], [-1.1, -0.5], [0.1, 1.6], [2.0, -0.2]]
     ),
     "majorana3_inf.json": _majorana([[0.4, -0.9], [-1.3, 0.7], "inf"]),
+    # the largest n with power sums, a root at infinity and two roots 1e-9
+    # apart: one double root at the default --tol, and at --tol 1e-12 eight
+    # simple roots whose power sums take cross ratios near 1e9
+    "pole_pair8.json": _majorana(
+        [[0.3, -0.7], [0.3 + 1e-9, -0.7], [1.2, 0.4], [-0.8, 0.9], [-1.1, -0.5], [0.1, 1.6],
+         [2.0, -0.2], "inf"]
+    ),
     "majorana7_inf.json": _majorana(
         [[0.5, 0.25], [-1.3, 0.6], [0.9, -1.1], [-0.2, -0.8], [1.7, 1.2], [-0.6, 1.9], "inf"]
     ),
