@@ -9,9 +9,10 @@ float to 15 significant digits, so the fields parse back to the printed
 values.  Every per-root field lists the roots in the order they were
 computed in.
 
-Only ``errors``, ``states`` and ``roots`` load with this module; every
-other layer loads inside the command that runs it, so that a cold call
-imports only what it uses.
+Library names are read through the package (``si.gram``), whose lazy
+table loads a layer the first time a command reads one of its names; only
+``states`` and ``roots`` load with this module, so a cold call imports
+only what it uses.
 
 Exit codes: 0 success (also when the reader of stdout closes it early), 2
 parse failure (also a point whose modulus is beyond floats) or unwritable
@@ -31,19 +32,10 @@ import sys
 
 import numpy as np
 
-from .errors import DegenerateInputError
-from .roots import DEFAULT_CLUSTER_TOL, cluster, degeneracy_class, find_roots
-from .states import (
-    MAX_QUBITS,
-    RiemannPoint,
-    SphereVector,
-    SymmetricState,
-    from_dicke,
-    from_sphere,
-    majorana_polynomial,
-    state_from_roots,
-    to_sphere,
-)
+import stellarinv as si
+
+from .roots import DEFAULT_CLUSTER_TOL
+from .states import MAX_QUBITS
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -84,7 +76,7 @@ def _check_qubits(n: int) -> None:
         )
 
 
-def load_document(path: str) -> tuple[int, SymmetricState | None, list[RiemannPoint] | None]:
+def load_document(path: str) -> tuple[int, si.SymmetricState | None, list[si.RiemannPoint] | None]:
     """Parse a state file into (n, state, points): a dicke-basis file gives
     its state and no points, a majorana-basis file its points and no state.
 
@@ -111,7 +103,7 @@ def load_document(path: str) -> tuple[int, SymmetricState | None, list[RiemannPo
             raise _CliError(EXIT_PARSE, f"'amplitudes' must list {n + 1} [re, im] pairs")
         amps = [_parse_complex(entry, "amplitude") for entry in raw]
         try:
-            return n, from_dicke(n, amps), None
+            return n, si.from_dicke(n, amps), None
         except ValueError as exc:
             raise _CliError(EXIT_PARSE, str(exc))
     if basis == "majorana":
@@ -122,7 +114,9 @@ def load_document(path: str) -> tuple[int, SymmetricState | None, list[RiemannPo
             raise _CliError(EXIT_PARSE, "empty root multiset")
         try:
             pts = [
-                RiemannPoint.infinity() if e == "inf" else RiemannPoint(_parse_complex(e, "point"))
+                si.RiemannPoint.infinity()
+                if e == "inf"
+                else si.RiemannPoint(_parse_complex(e, "point"))
                 for e in raw
             ]
         except OverflowError:  # abs() of the point
@@ -131,12 +125,12 @@ def load_document(path: str) -> tuple[int, SymmetricState | None, list[RiemannPo
     raise _CliError(EXIT_PARSE, f"unknown basis {basis!r} (expected 'dicke' or 'majorana')")
 
 
-def _roots(state: SymmetricState | None, points: list[RiemannPoint] | None):
+def _roots(state: si.SymmetricState | None, points: list[si.RiemannPoint] | None):
     """The document's points, or the roots of its state."""
-    return points if state is None else find_roots(majorana_polynomial(state))
+    return points if state is None else si.find_roots(si.majorana_polynomial(state))
 
 
-def state_document(state: SymmetricState) -> dict:
+def state_document(state: si.SymmetricState) -> dict:
     return {
         "n": state.n,
         "basis": "dicke",
@@ -183,7 +177,7 @@ def _render(value):
         return _render(value.tolist())
     if isinstance(value, complex):
         return [_render(value.real), _render(value.imag)]
-    if isinstance(value, RiemannPoint):
+    if isinstance(value, si.RiemannPoint):
         return "inf" if value.is_infinite else _render(value.value)
     if isinstance(value, dict):
         return {k: _render(v) for k, v in value.items()}
@@ -200,12 +194,10 @@ def _emit(doc, out_path: str | None) -> None:
 
 def _closed_forms(n, g) -> dict:
     """The closed-form LU invariants of an n = 2 or 3 Gram, else none."""
-    from .lu import bloch_radius2, concurrence2, lu_invariants3
-
     if n == 2:
         v12 = float(g[0, 1])
-        return {"concurrence": concurrence2(v12), "bloch_radius_sq": bloch_radius2(v12)}
-    return lu_invariants3(g)._asdict() if n == 3 else {}
+        return {"concurrence": si.concurrence2(v12), "bloch_radius_sq": si.bloch_radius2(v12)}
+    return si.lu_invariants3(g)._asdict() if n == 3 else {}
 
 
 def _slocc_section(summary):
@@ -226,43 +218,38 @@ def _slocc_section(summary):
 def _oracle_section(state, closed):
     """The dense oracle's values of the ``closed`` forms and their largest
     deviation from them."""
-    from .oracle import dicke_expand, oracle_lu_invariants3, partial_trace, wootters_concurrence
-
-    dense = dicke_expand(state)
+    dense = si.dicke_expand(state)
     if state.n == 2:
-        rho1 = partial_trace(dense, [1])
+        rho1 = si.partial_trace(dense, [1])
         radius_sq = float(2.0 * np.trace(rho1 @ rho1).real - 1.0)
-        section = {"concurrence": wootters_concurrence(dense), "bloch_radius_sq": radius_sq}
+        section = {"concurrence": si.wootters_concurrence(dense), "bloch_radius_sq": radius_sq}
     else:
-        section = oracle_lu_invariants3(dense)._asdict()
+        section = si.oracle_lu_invariants3(dense)._asdict()
     section["max_abs_deviation"] = max(abs(section[k] - v) for k, v in closed.items())
     return section
 
 
 def cmd_invariants(args) -> int:
-    from .lu import gram, slui_coefficients
-    from .slocc import slocc_summary
-
     n, state, points = load_document(args.file)
     if args.oracle_check and n not in (2, 3):  # before any stage: exit 3 beats exit 4
         raise _CliError(EXIT_UNSUPPORTED, f"--oracle-check supports n = 2 or 3, got n = {n}")
     pts = _roots(state, points)
-    vecs = [to_sphere(p) for p in pts]
-    g = gram(vecs)
+    vecs = [si.to_sphere(p) for p in pts]
+    g = si.gram(vecs)
     sections = {}
     both = not (args.lu or args.slocc)
     closed = _closed_forms(n, g)
     if args.lu or both:
-        sections["lu"] = {"slui_coefficients": slui_coefficients(g), **closed}
+        sections["lu"] = {"slui_coefficients": si.slui_coefficients(g), **closed}
     if args.slocc or both:
-        summary = slocc_summary(pts, args.tol)
+        summary = si.slocc_summary(pts, args.tol)
         if args.slocc and n == 4 and summary.klein_j is None:
-            raise DegenerateInputError(
+            raise si.DegenerateInputError(
                 "degenerate cross ratio: J is on its pole (a repeated root) or beyond floats"
             )
         sections["slocc"] = _slocc_section(summary)
     if args.oracle_check:
-        sections["oracle"] = _oracle_section(state or state_from_roots(points), closed)
+        sections["oracle"] = _oracle_section(state or si.state_from_roots(points), closed)
     report = {"n": n, "roots": pts, "points": vecs, "gram": g, **sections}
     _emit(report, args.output)
     return EXIT_OK
@@ -270,7 +257,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_classify(args) -> int:
     n, state, points = load_document(args.file)
-    signature = degeneracy_class(_roots(state, points), args.tol)
+    signature = si.degeneracy_class(_roots(state, points), args.tol)
     label = "{" + ",".join(str(m) for m in signature) + "}"
     if n == 3:
         names = {(3,): "separable", (2, 1): "W", (1, 1, 1): "GHZ-class"}
@@ -280,17 +267,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    from .transforms import (
-        IloParameters,
-        apply_mobius,
-        apply_operator,
-        ilo_operator,
-        lu_unitary,
-        mobius_from_ilo,
-        rotation_from_h,
-        time_reversal,
-    )
-
     n, state, points = load_document(args.file)
     # a majorana file's points each take the rotation, Moebius map or antipode
     if args.mode == "lu-random":
@@ -299,9 +275,9 @@ def cmd_transform(args) -> int:
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         h = axis * rng.uniform(0.0, np.pi)
-        rot = rotation_from_h(h)
-        move = lambda p: from_sphere(SphereVector(*(rot @ to_sphere(p))))
-        act = lambda s: apply_operator(lu_unitary(h, n), s)
+        rot = si.rotation_from_h(h)
+        move = lambda p: si.from_sphere(si.SphereVector(*(rot @ si.to_sphere(p))))
+        act = lambda s: si.apply_operator(si.lu_unitary(h, n), s)
     elif args.mode == "ilo-random":
         # beta1, beta2 and h uniform on the unit disk, redrawn until the
         # Moebius part is moderate
@@ -313,14 +289,14 @@ def cmd_transform(args) -> int:
                 if abs(z) <= 1.0:
                     return z
 
-        params = IloParameters(disk(), disk(), disk())
+        params = si.IloParameters(disk(), disk(), disk())
         while not abs(params.gamma - 1.0 / params.gamma) < 10.0:  # NaN is redrawn too
-            params = IloParameters(disk(), disk(), disk())
-        mob = mobius_from_ilo(params)
-        move = lambda p: apply_mobius(mob, p)
-        act = lambda s: apply_operator(ilo_operator(params, n), s)
+            params = si.IloParameters(disk(), disk(), disk())
+        mob = si.mobius_from_ilo(params)
+        move = lambda p: si.apply_mobius(mob, p)
+        act = lambda s: si.apply_operator(si.ilo_operator(params, n), s)
     else:
-        move, act = RiemannPoint.antipode, time_reversal
+        move, act = si.RiemannPoint.antipode, si.time_reversal
     if points is not None:
         doc = {"n": n, "basis": "majorana", "points": [move(p) for p in points]}
     _emit(state_document(act(state)) if points is None else doc, args.output)
@@ -328,22 +304,20 @@ def cmd_transform(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from . import families
-
     if args.family != "ghz4-family":
         _check_qubits(args.n)
     try:
         if args.family == "ghz":
-            state = families.ghz_state(args.n)
+            state = si.ghz_state(args.n)
         elif args.family == "w":
-            state = families.w_state(args.n)
+            state = si.w_state(args.n)
         elif args.family == "dicke":
             if args.weight is None:
                 raise _CliError(EXIT_PARSE, "dicke needs --weight")
-            state = families.dicke_state(args.n, args.weight)
+            state = si.dicke_state(args.n, args.weight)
         else:  # ghz4-family
-            state = families.ghz4_family(complex(*args.mu) if args.mu else 0j)
-    except DegenerateInputError:
+            state = si.ghz4_family(complex(*args.mu) if args.mu else 0j)
+    except si.DegenerateInputError:
         raise  # a ValueError too; main maps it to exit 4
     except ValueError as exc:
         raise _CliError(EXIT_PARSE, str(exc))
@@ -354,11 +328,11 @@ def cmd_generate(args) -> int:
 def cmd_roots(args) -> int:
     n, state, points = load_document(args.file)
     pts = _roots(state, points)
-    clusters = cluster(pts, args.tol)
+    clusters = si.cluster(pts, args.tol)
     report = {
         "n": n,
         "roots": pts,
-        "points": [to_sphere(p) for p in pts],
+        "points": [si.to_sphere(p) for p in pts],
         "clusters": [{"root": rep, "multiplicity": mult} for rep, mult in clusters],
         "degeneracy": [m for _, m in clusters],
     }
@@ -471,7 +445,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # the reader has gone: nothing is left to report
         return EXIT_OK
-    except (_CliError, OverflowError, DegenerateInputError) as exc:
+    except (_CliError, OverflowError, si.DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _CliError):
             return exc.code

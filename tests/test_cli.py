@@ -349,7 +349,7 @@ class TestInvariants:
         def no_roots(*args, **kwargs):
             raise AssertionError("find_roots ran before the refusal")
 
-        monkeypatch.setattr("stellarinv.cli.find_roots", no_roots)
+        monkeypatch.setattr("stellarinv.find_roots", no_roots)
         run(capsys, "generate", "ghz", "-n", "16", "-o", str(tmp_path / "g16.json"))
         code, out, err = run(capsys, "invariants", str(tmp_path / "g16.json"), "--oracle-check")
         assert (code, out) == (3, "")
@@ -469,7 +469,7 @@ class TestInvariants:
 
 
 class TestFlags:
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
     def test_bad_tol_exits_2(self, capsys, tmp_path, tol):
         path = ghz3_file(tmp_path)
         for command in ("invariants", "classify", "roots"):
@@ -1090,6 +1090,18 @@ class TestColdStart:
         assert "stellarinv" in loaded and "numpy" not in loaded
         assert not [m for m in loaded if m.startswith("stellarinv.")]
 
+    def test_lazy_load_shows_in_importtime(self):
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import stellarinv; stellarinv.gram"],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stellarinv.__file__))),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        names = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()]
+        assert "stellarinv.lu" in names
+
     def test_public_names_resolve_on_first_read(self):
         assert stellarinv.__all__ == sorted(_PUBLIC_NAMES)
         for name in stellarinv.__all__:
@@ -1125,9 +1137,16 @@ def test_coldstart_reports_every_command():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
-    commands = [line.split()[0] for line in lines if not line.startswith((" ", "1 rounds"))]
+    heads = [i for i, line in enumerate(lines) if not line.startswith((" ", "1 rounds"))]
+    commands = [lines[i].split()[0] for i in heads]
     assert commands == ["invariants", "classify", "roots", "transform", "generate"]
-    assert "  NEW 4: stellarinv stellarinv.errors stellarinv.states stellarinv.roots" in lines
+    new = {lines[i].split()[0]: lines[i + 2] for i in heads}
+    assert new["classify"] == new["roots"] == "  NEW 3: stellarinv stellarinv.states stellarinv.roots"
+    # the lazily loaded layers are listed too
+    assert new["invariants"] == (
+        "  NEW 6: stellarinv stellarinv.states stellarinv.roots stellarinv.errors"
+        " stellarinv.lu stellarinv.slocc"
+    )
 
 
 def test_cli_diff_finds_no_difference_within_one_tree():

@@ -429,6 +429,25 @@ class TestSymmetrizedIk:
         assert abs(summary.lambda_vector[0].value) == pytest.approx(1e200)
         assert summary.klein_j is None and summary.symmetrized == {}
 
+    # roots {0, 1, inf, 1e11}: at k = 28 a partial sum passes the float
+    # range, at k = 31 the terms hold inf and -inf
+    @pytest.mark.parametrize("k, raised", [(28, OverflowError), (31, ValueError)])
+    def test_fsum_beyond_floats_diverges(self, k, raised, monkeypatch):
+        seen = []
+        fsum = math.fsum
+
+        def spy(values):
+            try:
+                return fsum(values)
+            except Exception as exc:
+                seen.append(type(exc))
+                raise
+
+        monkeypatch.setattr(math, "fsum", spy)
+        with pytest.raises(DivergentSumError, match="beyond the float range"):
+            symmetrized_ik([point(0), point(1), inf_point(), point(1e11)], k)
+        assert seen == [raised]
+
     def test_repeated_roots_diverge(self):
         pts = [point(0), point(0), point(1), inf_point()]
         with pytest.raises(DivergentSumError):

@@ -10,6 +10,10 @@ commands and records, for every call, stdout, stderr, the exit code, the
 differs between the trees is printed, with one line per differing top-level
 field where both sides of an output are JSON objects (``permuted`` when a
 list only changed order); the exit status is 1 if any call differs.
+
+The command line prints only the k = 2 and 4 power sums, so identical output
+says nothing about the odd powers; the reference tests in
+``tests/test_slocc.py`` cover those.
 """
 from __future__ import annotations
 
