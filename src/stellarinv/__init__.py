@@ -15,8 +15,6 @@ __version__ = "0.1.0"
 
 #: The public names of each module.
 _MODULES = {
-    "errors": ("DegenerateInputError", "DivergentSumError"),
-    "families": ("dicke_state", "ghz4_family", "ghz_state", "w_state"),
     "lu": (
         "LuInvariantSet",
         "bloch_radius2",
@@ -48,17 +46,23 @@ _MODULES = {
         "symmetrized_ik",
     ),
     "states": (
+        "DegenerateInputError",
+        "DivergentSumError",
         "MajoranaPolynomial",
         "RiemannPoint",
         "SphereVector",
         "SymmetricState",
         "chordal_distance",
+        "dicke_state",
         "from_dicke",
         "from_sphere",
+        "ghz4_family",
+        "ghz_state",
         "majorana_polynomial",
         "state_from_polynomial",
         "state_from_roots",
         "to_sphere",
+        "w_state",
     ),
     "transforms": (
         "IloParameters",

@@ -131,11 +131,7 @@ def _roots(state: si.SymmetricState | None, points: list[si.RiemannPoint] | None
 
 
 def state_document(state: si.SymmetricState) -> dict:
-    return {
-        "n": state.n,
-        "basis": "dicke",
-        "amplitudes": state.amplitudes,
-    }
+    return {"n": state.n, "basis": "dicke", "amplitudes": state.amplitudes}
 
 
 def _write(text: str, out_path: str | None) -> None:

@@ -11,8 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError
-from .states import SphereVector
+from .states import DegenerateInputError, SphereVector
 
 _UNIT_TOL = 1e-9
 _RANGE_TOL = 1e-9

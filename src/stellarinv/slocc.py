@@ -23,10 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, DivergentSumError
 # degeneracy_class is re-exported: perfbench/tracing.py times it under this module
 from .roots import DEFAULT_CLUSTER_TOL, degeneracy, degeneracy_class, point_key, single_linkage
-from .states import RiemannPoint, projective_differences, projective_pairs
+from .states import (
+    DegenerateInputError,
+    DivergentSumError,
+    RiemannPoint,
+    projective_differences,
+    projective_pairs,
+)
 
 #: Single-linkage tolerance at which the stand-alone functions group the
 #: caller's points; a summary groups its roots at its ``tol``.

@@ -6,6 +6,8 @@ polynomial with coefficient sqrt(binom(n, k)) * a_{k-s} on alpha^k; its n
 roots, completed by points at infinity whenever the degree drops below n,
 map to n points on the unit sphere by inverse stereographic projection
 (alpha = 0 at the north pole, alpha = infinity at the south pole).
+The GHZ, W and Dicke states and the four-qubit family are named examples,
+and the package's two exception types live here too.
 
 Everything here is immutable after construction and every function is pure.
 """
@@ -32,6 +34,20 @@ _NORM_TOL = 1e-12
 #: Largest qubit count whose binomials binom(n, k) all fit a float; the
 #: polynomial coefficients of larger states cannot be formed.
 MAX_QUBITS = 1029
+
+
+class DegenerateInputError(ValueError):
+    """The input sits on a singular configuration for the requested quantity."""
+
+
+class DivergentSumError(ArithmeticError):
+    """A permutation-symmetrized sum diverges due to (near-)coincident roots."""
+
+
+def check_qubit_count(n: int) -> None:
+    """``ValueError`` unless the qubit count n is positive."""
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
 
 
 class RiemannPoint:
@@ -153,8 +169,7 @@ class SymmetricState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be positive, got {self.n}")
+        check_qubit_count(self.n)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.n + 1,):
             raise ValueError(
@@ -276,3 +291,42 @@ def state_from_roots(points: Sequence[RiemannPoint]) -> SymmetricState:
     if not np.isfinite(coeffs).all():
         raise OverflowError(f"the polynomial of these {n} points overflows a float")
     return state_from_polynomial(MajoranaPolynomial(coeffs))
+
+
+#: Excluded parameters of the four-qubit family: at mu = +-1/sqrt(3) the
+#: roots degenerate into two double points.
+GHZ4_EXCLUDED = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
+
+
+def ghz_state(n: int) -> SymmetricState:
+    """(|s,-s> + |s,s>)/sqrt(2)."""
+    check_qubit_count(n)
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[0] = amps[n] = 1.0
+    return from_dicke(n, amps)
+
+
+def w_state(n: int) -> SymmetricState:
+    """Single-excitation Dicke state |s, m = -s+1>."""
+    if n < 2:
+        raise ValueError("W state needs n >= 2")
+    return dicke_state(n, 1)
+
+
+def dicke_state(n: int, weight: int) -> SymmetricState:
+    """Basis state |s, m> with s + m = weight excited qubits."""
+    check_qubit_count(n)
+    if not 0 <= weight <= n:
+        raise ValueError(f"weight must lie in 0..{n}, got {weight}")
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[weight] = 1.0
+    return from_dicke(n, amps)
+
+
+def ghz4_family(mu: complex) -> SymmetricState:
+    """Normalized |GHZ_4> + mu |D_4^(2)>, the generic four-qubit SLOCC family."""
+    mu = complex(mu)
+    if any(abs(mu - x) < 1e-12 for x in GHZ4_EXCLUDED):
+        raise DegenerateInputError("mu = +-1/sqrt(3) is excluded (roots degenerate)")
+    amps = np.array([1.0 / np.sqrt(2.0), 0.0, mu, 0.0, 1.0 / np.sqrt(2.0)])
+    return from_dicke(4, amps)

@@ -18,8 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError
-from .states import RiemannPoint, SymmetricState, binomial_factors, from_dicke
+from .states import (
+    DegenerateInputError,
+    RiemannPoint,
+    SymmetricState,
+    binomial_factors,
+    check_qubit_count,
+    from_dicke,
+)
 
 _DOMAIN_TOL = 1e-12
 
@@ -106,8 +112,7 @@ def symmetric_power(m, n: int) -> np.ndarray:
     up to n = 64.  ``ValueError`` for n < 1, ``OverflowError`` when an entry
     is beyond floats.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
+    check_qubit_count(n)
     (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
     r = math.hypot(abs(a), abs(c))
     p, q = a / r, c / r
@@ -115,16 +120,9 @@ def symmetric_power(m, n: int) -> np.ndarray:
     r11 = p * d - q * b
     qs, spread, weights, steps = _power_tables(n)
     phase_p, phase_q = cmath.phase(p), cmath.phase(q)
-    left, middle, right = np.exp(
-        np.multiply.outer(
-            [
-                0.5j * (phase_p - phase_q),
-                1j * math.atan2(abs(q), abs(p)),
-                0.5j * (phase_p + phase_q),
-            ],
-            spread,
-        )
-    )
+    beta = math.atan2(abs(q), abs(p))
+    angles = [0.5j * (phase_p - phase_q), 1j * beta, 0.5j * (phase_p + phase_q)]
+    left, middle, right = np.exp(np.multiply.outer(angles, spread))
     k = np.arange(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         triangular = weights * np.power(r01, k)[steps] * r ** (n - k) * np.power(r11, k)[:, None]

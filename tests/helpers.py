@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from stellarinv import (
+    DivergentSumError,
     RiemannPoint,
     chordal_distance,
     find_roots,
@@ -16,7 +17,6 @@ from stellarinv import (
     majorana_polynomial,
     SphereVector,
 )
-from stellarinv.errors import DivergentSumError
 from stellarinv.roots import DEFAULT_ROOT_TOL, _MAX_POLISH, _newton_step, _scaled_residuals
 
 
@@ -153,6 +153,36 @@ def reference_power_sums(points, powers):
         if not cmath.isfinite(sums[k]):
             raise DivergentSumError("the sum is beyond the float range")
     return sums
+
+
+def binary_form(state):
+    """b_0..b_n of the state's binary form sum_k binom(n, k) b_k x^k, the
+    Majorana polynomial: b_k = a_k / sqrt(binom(n, k))."""
+    n = state.n
+    return state.amplitudes / np.sqrt([math.comb(n, k) for k in range(n + 1)])
+
+
+def reference_quartic_ij(state):
+    """Root-free invariants (I, J) of a four-qubit state's binary quartic:
+    I = b0 b4 - 4 b1 b3 + 3 b2^2 and J the determinant of the Hankel matrix
+    [[b0, b1, b2], [b1, b2, b3], [b2, b3, b4]] (Olver, Classical Invariant
+    Theory, 1999).  Klein's J of the roots is I^3 / (I^3 - 27 J^2), whose
+    denominator is the discriminant of the quartic up to a constant.
+    """
+    b0, b1, b2, b3, b4 = binary_form(state).tolist()
+    i = b0 * b4 - 4.0 * b1 * b3 + 3.0 * b2 * b2
+    j = b0 * b2 * b4 + 2.0 * b1 * b2 * b3 - b2**3 - b0 * b3 * b3 - b1 * b1 * b4
+    return i, j
+
+
+def reference_cubic_discriminant(state):
+    """Root-free discriminant of a three-qubit state's binary cubic,
+    (b0 b3 - b1 b2)^2 - 4 (b0 b2 - b1^2)(b1 b3 - b2^2).  It is Cayley's
+    hyperdeterminant of the symmetric 2x2x2 tensor of amplitudes b, so four
+    times its modulus is the 3-tangle (Coffman, Kundu & Wootters, PRA 61,
+    052306, 2000)."""
+    b0, b1, b2, b3 = binary_form(state).tolist()
+    return (b0 * b3 - b1 * b2) ** 2 - 4.0 * (b0 * b2 - b1 * b1) * (b1 * b3 - b2 * b2)
 
 
 def reference_i2_n4(z):

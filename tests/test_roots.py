@@ -139,6 +139,24 @@ class TestFindRoots:
         floor = 64 * EPS * scale
         assert _scaled_residuals(c, got).max() <= floor
 
+    def test_newton_step_that_raises_the_residual_is_dropped(self, monkeypatch):
+        # a step off the root raises the residual: the raw eigenvalue is kept
+        steps = []
+
+        def worse(asc, z):
+            steps.append(z)
+            return z * (1 + 1e-3)
+
+        monkeypatch.setattr(roots, "_newton_step", worse)
+        p = majorana_polynomial(ghz_state(16))
+        c = p.coefficients
+        raw = np.roots(c[::-1])
+        above = _scaled_residuals(c, raw) > 64 * EPS * np.abs(c).max()
+        assert above.any(), "no raw root lies above the floor"
+        got = np.array([r.value for r in find_roots(p)])
+        assert steps == raw[above].tolist()  # one rejected step per polished root
+        assert got.tobytes() == raw.tobytes()
+
     def test_multiplicity_and_infinity_counts(self):
         rng = np.random.default_rng(23)
         for n in range(1, 11):

@@ -12,10 +12,15 @@ from helpers import (
     inf_point,
     multiset_distance,
     point,
+    random_h,
     random_points,
+    random_state,
+    reference_cubic_discriminant,
     reference_i2_n4,
     reference_linkage,
     reference_power_sums,
+    reference_quartic_ij,
+    roots_of,
     signed_zero_complex,
 )
 from stellarinv import (
@@ -25,21 +30,30 @@ from stellarinv import (
     RiemannPoint,
     anharmonic_orbit,
     apply_mobius,
+    apply_operator,
     canonical_representative,
     chordal_distance,
     cross_ratio,
     degeneracy_class,
+    dicke_expand,
     ghz4_family,
+    gram,
     i2_closed_n4,
+    ilo_operator,
     klein_j,
     lambda_vector,
+    lu_invariants3,
+    lu_unitary,
     slocc_summary,
     symmetrized_ik,
+    three_tangle,
+    to_sphere,
 )
 from stellarinv import slocc
 from stellarinv.roots import DEFAULT_CLUSTER_TOL, find_roots, single_linkage
 from stellarinv.slocc import COINCIDENCE_TOL, MAX_IK_N, MAX_POWER_SUM_N, SUMMARY_POWERS
 from stellarinv.states import majorana_polynomial, projective_differences, projective_pairs
+from test_transforms import random_ilo
 
 OMEGA = np.exp(1j * np.pi / 3)  # equianharmonic cross ratio, root of l^2 - l + 1
 
@@ -893,3 +907,40 @@ class TestMobiusInvariance:
                 v1 = symmetrized_ik(moved, k)
                 assert abs(v0 - v1) <= 1e-9 * max(1.0, abs(v0))
             assert degeneracy_class(pts, 1e-7) == degeneracy_class(moved, 1e-7)
+
+
+def moved_state(rng, state, move):
+    """``state`` as it is, or moved by a random LU or ILO operator."""
+    if move == "lu":
+        return apply_operator(lu_unitary(random_h(rng), state.n), state)
+    if move == "ilo":
+        return apply_operator(ilo_operator(random_ilo(rng), state.n), state)
+    return state
+
+
+@pytest.mark.parametrize("move", ["none", "lu", "ilo"])
+class TestRootFreeReferences:
+    """The values read off the roots against the same values read off the
+    amplitudes with no root found.  Both routes lose digits as the roots
+    close in, so each bound grows as the discriminant D of the binary form
+    vanishes: ILO moves reach |D| of 1e-24 here."""
+
+    def test_klein_j_is_i_cubed_over_the_discriminant(self, move):
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            state = moved_state(rng, random_state(rng, 4), move)
+            i, j = reference_quartic_ij(state)
+            disc = i**3 - 27.0 * j * j
+            want = i**3 / disc
+            got = klein_j(cross_ratio(*roots_of(state)))
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)) / min(1.0, abs(disc))
+
+    def test_three_tangle_is_four_times_the_cubic_discriminant(self, move):
+        rng = np.random.default_rng(84)
+        for _ in range(200):
+            state = moved_state(rng, random_state(rng, 3), move)
+            disc = reference_cubic_discriminant(state)
+            want = 4.0 * abs(disc)
+            assert abs(three_tangle(dicke_expand(state)) - want) <= 1e-14
+            i6 = lu_invariants3(gram([to_sphere(p) for p in roots_of(state)])).i6
+            assert abs(i6 - want) <= 1e-14 / min(1.0, abs(disc))

@@ -27,6 +27,11 @@ def traced_functions(tracing):
     ]
 
 
+def test_every_package_module_is_a_traced_layer():
+    # a module the tracer does not know would hide its time among the rest
+    assert set(stellarinv._MODULES) | {"cli"} == set(load_tracing().LAYERS)
+
+
 def test_every_traced_name_resolves_in_its_module():
     for module, fn in traced_functions(load_tracing()):
         assert callable(getattr(module, fn, None)), f"{module.__name__}.{fn}"
